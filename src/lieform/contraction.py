@@ -20,7 +20,7 @@ import numpy as np
 
 from .forms import Cochain
 from .reconstruct import CourantError, SchemeKind, interface_point_values
-from .velocity import StaggeredVelocity, max_courant
+from .velocity import StaggeredVelocity, average_to_node, max_courant
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,16 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     grid = omega.grid
     wx = omega.component("x")
     wy = omega.component("y")
-    sum_x = vel.flux_x + np.roll(vel.flux_x, 1, axis=0)
-    sum_y = vel.flux_y + np.roll(vel.flux_y, 1, axis=1)
     if scheme is SchemeKind.UPWIND:
+        # Signs come from the unhalved sums: halving a tiny negative sum
+        # can round to -0.0, which would flip its >= 0 test.
+        sum_x = vel.flux_x + np.roll(vel.flux_x, 1, axis=0)
+        sum_y = vel.flux_y + np.roll(vel.flux_y, 1, axis=1)
         src_x = np.where(sum_x >= 0.0, np.roll(wx, 1, axis=1), wx)
         src_y = np.where(sum_y >= 0.0, np.roll(wy, 1, axis=0), wy)
         node = dt / (2.0 * grid.h ** 2) * (sum_x * src_x + sum_y * src_y)
     else:
-        avg_x = sum_x / 2.0
-        avg_y = sum_y / 2.0
+        avg_x, avg_y = average_to_node(vel)
         rx = interface_point_values(wx / grid.h, 1, avg_x, scheme)
         ry = interface_point_values(wy / grid.h, 0, avg_y, scheme)
         node = ((rx * avg_x) * dt) / grid.h + ((ry * avg_y) * dt) / grid.h

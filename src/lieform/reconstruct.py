@@ -5,7 +5,10 @@ ordered from the upwind side toward the downwind side, produce the point
 value at the interface between the window's center cell and its downwind
 neighbour. Flow toward higher index uses the window as-is; flow toward
 lower index uses the mirrored window, which callers build by reversing
-the read direction. The arithmetic below is order-pinned (left-assoc
+the read direction. The plane path reconstructs every interface of a
+plane in one kernel pass: the width + 1 wrapped shifts of the plane hold
+both upwind windows, and each interface picks its window from them by
+its own flow sign. The arithmetic below is order-pinned (left-assoc
 sums, explicit products instead of powers) so the scalar kernel and the
 vectorized plane path produce bitwise identical results.
 """
@@ -192,21 +195,32 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
 
     Interface k along `axis` separates cells k-1 and k (so it shares the
     index of its downwind-side cell when flow points up the axis). signs
-    gives the flow direction per interface; zeros fall back to the
-    positive-direction value, which callers null out with the zero flux.
+    gives the flow direction per interface; zeros (either sign of zero)
+    fall back to the positive-direction value, which callers null out
+    with the zero flux.
+
+    Each interface is reconstructed once. Shift s (0..width) of the
+    plane, a view into one wrapped copy, holds cell k - c - 1 + s at
+    interface k, where c = (width - 1) // 2. The positive window is
+    shifts 0..width-1 and the negative window is shifts width..1; each
+    interface selects its window by its sign before the single kernel
+    pass.
     """
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     width = scheme.stencil_width
-    if u.shape[axis] <= width:
+    n = u.shape[axis]
+    if n <= width:
         raise ValueError(
-            f"grid extent {u.shape[axis]} too small for {scheme.value} "
+            f"grid extent {n} too small for {scheme.value} "
             f"(needs more than {width} cells)")
     c = (width - 1) // 2
-    plus = [np.roll(u, c + 1 - m, axis=axis) for m in range(width)]
-    rp = _left_biased(scheme, plus)
-    if not (signs < 0).any():
-        return rp
-    minus = [np.roll(u, m - c, axis=axis) for m in range(width)]
-    rm = _left_biased(scheme, minus)
-    return np.where(signs < 0, rm, rp)
+    padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap")
+    shifts = [padded[s:s + n] if axis == 0 else padded[:, s:s + n]
+              for s in range(width + 1)]
+    neg = signs < 0
+    if not neg.any():
+        return _left_biased(scheme, shifts[:width])
+    window = [np.where(neg, shifts[width - m], shifts[m])
+              for m in range(width)]
+    return _left_biased(scheme, window)

@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
@@ -205,6 +208,77 @@ def test_interface_point_values_match_scalar(scheme, axis):
             want = reconstruct_at_interface(
                 Stencil1D(vals, 1 if positive else -1), scheme)
             assert got[j, i] == want
+
+
+def _scalar_plane(u, axis, signs, scheme):
+    """interface_point_values rebuilt one interface at a time."""
+    ny, nx = u.shape
+    n = u.shape[axis]
+    out = np.empty(u.shape)
+    for j in range(ny):
+        for i in range(nx):
+            positive = signs[j, i] >= 0.0
+            cells = reference.window_cells(i if axis == 1 else j, n,
+                                           scheme.stencil_width, positive)
+            line = u[j] if axis == 1 else u[:, i]
+            vals = tuple(float(line[c]) for c in cells)
+            out[j, i] = reconstruct_at_interface(
+                Stencil1D(vals, 1 if positive else -1), scheme)
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("pattern", ["negative", "positive", "mixed"])
+def test_interface_point_values_at_stencil_minimum(scheme, axis, pattern):
+    # the smallest admissible extent along the axis, a different extent
+    # across it; every window then wraps
+    width = scheme.stencil_width
+    shape = (width + 1, width + 3) if axis == 0 else (width + 2, width + 1)
+    rng = np.random.default_rng(23)
+    u = rng.standard_normal(shape)
+    mag = rng.uniform(0.1, 1.0, shape)
+    if pattern == "negative":
+        signs = -mag
+    elif pattern == "positive":
+        signs = mag
+    else:
+        signs = mag * rng.choice([-1.0, 1.0], shape)
+        signs[0, 0] = 0.0
+        signs[-1, -1] = -0.0
+    got = interface_point_values(u, axis, signs, scheme)
+    _assert_same_bits(got, _scalar_plane(u, axis, signs, scheme))
+    if pattern == "mixed":
+        # both zeros take the positive-direction window
+        plus = interface_point_values(u, axis, np.ones(shape), scheme)
+        assert got[0, 0] == plus[0, 0]
+        assert got[-1, -1] == plus[-1, -1]
+
+
+@st.composite
+def _planes_near_minimum(draw):
+    scheme = draw(st.sampled_from(list(SchemeKind)))
+    axis = draw(st.sampled_from([0, 1]))
+    along = scheme.stencil_width + draw(st.integers(1, 3))
+    across = draw(st.integers(1, 10))
+    shape = (along, across) if axis == 0 else (across, along)
+    u = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    signs = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))))
+    return scheme, axis, u, signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planes_near_minimum())
+def test_interface_point_values_property(case):
+    scheme, axis, u, signs = case
+    got = interface_point_values(u, axis, signs, scheme)
+    _assert_same_bits(got, _scalar_plane(u, axis, signs, scheme))
 
 
 def test_interface_point_values_guards():
