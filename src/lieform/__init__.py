@@ -13,8 +13,8 @@ from .contraction import (ContractionResult, contract, contract_0form,
 from .derivative import exterior_derivative
 from .forms import (AnalyticForm, Cochain, NonFiniteValueError, RectangleForm,
                     axpy, discretize, norm)
-from .grid import (CellRef, GridComplex2D, IncidenceOperator, boundary_chain,
-                   boundary_operator, build_complex, shifted)
+from .grid import (CellRef, GridComplex2D, boundary_chain, build_complex,
+                   shifted)
 from .output import (ErrorRecord, RasterImage, read_error_table, read_field,
                      read_pgm, render_field, write_error_table, write_field,
                      write_pgm)
@@ -38,8 +38,7 @@ __all__ = [
     "exterior_derivative",
     "AnalyticForm", "Cochain", "NonFiniteValueError", "RectangleForm",
     "axpy", "discretize", "norm",
-    "CellRef", "GridComplex2D", "IncidenceOperator", "boundary_chain",
-    "boundary_operator", "build_complex", "shifted",
+    "CellRef", "GridComplex2D", "boundary_chain", "build_complex", "shifted",
     "ErrorRecord", "RasterImage", "read_error_table", "read_field",
     "read_pgm", "render_field", "write_error_table", "write_field",
     "write_pgm",

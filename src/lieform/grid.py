@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 EDGE_AXES = ("x", "y")
 
@@ -140,51 +139,3 @@ def boundary_chain(grid: GridComplex2D, ref: CellRef) -> list[tuple[int, int]]:
             (grid.flatten(CellRef(1, i, j, "y")), -1),
         ]
     raise ValueError("vertices have empty boundary")
-
-
-@dataclass(frozen=True)
-class IncidenceOperator:
-    """Signed boundary operator for the k-cells of a grid complex.
-
-    ``entries`` is sparse with one row per k-cell and one column per
-    (k-1)-cell; row sigma holds the +/-1 coefficients of the chain
-    boundary of sigma. Applying ``entries`` to a vector of (k-1)-cochain
-    values therefore evaluates the coboundary: row sigma of the product
-    is the signed sum of the cochain over the boundary of sigma.
-    """
-
-    k: int
-    grid: GridComplex2D
-    entries: sparse.csr_matrix
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Signed boundary sums of a (k-1)-cochain value vector."""
-        return self.entries @ values
-
-
-def boundary_operator(grid: GridComplex2D, k: int) -> IncidenceOperator:
-    """Assemble the boundary operator for dimension k (1 or 2)."""
-    if k not in (1, 2):
-        raise ValueError(f"boundary operator exists for k in (1, 2), got {k}")
-    n = grid.size
-    nx, ny = grid.nx, grid.ny
-    jj, ii = np.divmod(np.arange(n), nx)
-    east = jj * nx + (ii + 1) % nx
-    north = ((jj + 1) % ny) * nx + ii
-
-    if k == 1:
-        # x-edge rows: +head, -tail; then the y-edge block.
-        rows = np.concatenate([np.arange(n), np.arange(n),
-                               n + np.arange(n), n + np.arange(n)])
-        cols = np.concatenate([east, np.arange(n), north, np.arange(n)])
-        data = np.concatenate([np.ones(n), -np.ones(n), np.ones(n), -np.ones(n)])
-        shape = (2 * n, n)
-    else:
-        # cell rows: +x(i,j), +y(i+1,j), -x(i,j+1), -y(i,j)
-        cell = np.arange(n)
-        rows = np.concatenate([cell, cell, cell, cell])
-        cols = np.concatenate([cell, n + east, north, n + cell])
-        data = np.concatenate([np.ones(n), np.ones(n), -np.ones(n), -np.ones(n)])
-        shape = (n, 2 * n)
-    mat = sparse.coo_matrix((data.astype(np.int8), (rows, cols)), shape=shape)
-    return IncidenceOperator(k, grid, mat.tocsr())

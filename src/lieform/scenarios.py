@@ -58,6 +58,11 @@ class Scenario:
             raise ValueError("scenario resolutions must be at least 8")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        # Written so that nan fails the comparison too.
+        if self.base_dt is not None and not 0.0 < self.base_dt < np.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.base_dt!r}")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError(f"step count must be at least 1, got {self.steps!r}")
 
 
 _BUILTINS = {

@@ -1,9 +1,12 @@
 """Independent slow references the test suite checks the package against.
 
-Two kinds of material live here. The loop section rewrites the stencil
+Three kinds of material live here. The loop section rewrites the stencil
 updates as naive scalar Python with explicit modular wrapping, keeping
 every sum and product in the order the vectorized planes use, so the
-comparisons can demand bitwise equality. The exact-rational section
+comparisons can demand bitwise equality. The sparse incidence operator
+assembles the chain boundary as a scipy.sparse matrix, so the stencil
+coboundary and the identity "boundary of a boundary is zero" can be
+checked against plain matrix products. The exact-rational section
 rederives the reconstruction tables from polynomial reproduction
 conditions with fractions.Fraction, giving the frozen float constants an
 origin that is not themselves.
@@ -16,7 +19,11 @@ kernel arrives as an injected callable.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+from scipy import sparse
 
 
 def _shape(plane):
@@ -41,6 +48,58 @@ def curl_loop(wx, wy):
     return [[wx[j][i] + wy[j][(i + 1) % nx] - wx[(j + 1) % ny][i] - wy[j][i]
              for i in range(nx)]
             for j in range(ny)]
+
+
+# ---------------------------------------------------------------------------
+# sparse incidence operator
+
+
+@dataclass(frozen=True)
+class IncidenceOperator:
+    """Signed boundary operator for the k-cells of a grid complex.
+
+    ``entries`` is sparse with one row per k-cell and one column per
+    (k-1)-cell; row sigma holds the +/-1 coefficients of the chain
+    boundary of sigma. Applying ``entries`` to a vector of (k-1)-cochain
+    values therefore evaluates the coboundary: row sigma of the product
+    is the signed sum of the cochain over the boundary of sigma.
+    """
+
+    k: int
+    grid: object  # only nx, ny and size are read, so no lieform import
+    entries: sparse.csr_matrix
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Signed boundary sums of a (k-1)-cochain value vector."""
+        return self.entries @ values
+
+
+def boundary_operator(grid, k: int) -> IncidenceOperator:
+    """Assemble the boundary operator for dimension k (1 or 2)."""
+    if k not in (1, 2):
+        raise ValueError(f"boundary operator exists for k in (1, 2), got {k}")
+    n = grid.size
+    nx, ny = grid.nx, grid.ny
+    jj, ii = np.divmod(np.arange(n), nx)
+    east = jj * nx + (ii + 1) % nx
+    north = ((jj + 1) % ny) * nx + ii
+
+    if k == 1:
+        # x-edge rows: +head, -tail; then the y-edge block.
+        rows = np.concatenate([np.arange(n), np.arange(n),
+                               n + np.arange(n), n + np.arange(n)])
+        cols = np.concatenate([east, np.arange(n), north, np.arange(n)])
+        data = np.concatenate([np.ones(n), -np.ones(n), np.ones(n), -np.ones(n)])
+        shape = (2 * n, n)
+    else:
+        # cell rows: +x(i,j), +y(i+1,j), -x(i,j+1), -y(i,j)
+        cell = np.arange(n)
+        rows = np.concatenate([cell, cell, cell, cell])
+        cols = np.concatenate([cell, n + east, north, n + cell])
+        data = np.concatenate([np.ones(n), np.ones(n), -np.ones(n), -np.ones(n)])
+        shape = (n, 2 * n)
+    mat = sparse.coo_matrix((data.astype(np.int8), (rows, cols)), shape=shape)
+    return IncidenceOperator(k, grid, mat.tocsr())
 
 
 # ---------------------------------------------------------------------------

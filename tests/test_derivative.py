@@ -6,7 +6,8 @@ import pytest
 import reference
 from lieform.derivative import exterior_derivative
 from lieform.forms import Cochain
-from lieform.grid import CellRef, boundary_chain, boundary_operator, build_complex
+from lieform.grid import CellRef, boundary_chain, build_complex
+from reference import boundary_operator
 
 
 def test_single_edge_circulation_frozen():

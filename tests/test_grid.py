@@ -1,10 +1,15 @@
 """Complex construction, canonical indexing, incidence structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lieform.grid import (CellRef, boundary_chain, boundary_operator,
-                          build_complex, shifted)
+from lieform.grid import CellRef, boundary_chain, build_complex, shifted
+from reference import boundary_operator
 
 
 def test_build_complex_casts_and_validates():
@@ -125,3 +130,19 @@ def test_boundary_of_boundary_is_zero():
     prod = boundary_operator(g, 2).entries @ boundary_operator(g, 1).entries
     prod.eliminate_zeros()
     assert prod.nnz == 0
+
+
+def test_runtime_import_loads_no_scipy():
+    # scipy serves only the sparse reference in tests/reference.py; a fresh
+    # interpreter importing the package and its CLI must not load it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, lieform, lieform.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

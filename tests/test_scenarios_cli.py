@@ -44,6 +44,19 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", degree=1, form="rect1", velocity="zero",
                  resolutions=(8,), duration=0.0)
+    for bad_dt in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Scenario(name="x", degree=1, form="rect1", velocity="zero",
+                     resolutions=(8,), base_dt=bad_dt)
+    for bad_steps in (0, -1):
+        with pytest.raises(ValueError):
+            Scenario(name="x", degree=1, form="rect1", velocity="zero",
+                     resolutions=(8,), steps=bad_steps)
+    base = builtin_scenario("square-translate")
+    with pytest.raises(ValueError):
+        apply_overrides(base, dt=0.0)
+    with pytest.raises(ValueError):
+        apply_overrides(base, steps=0)
 
 
 def test_apply_overrides():
@@ -212,6 +225,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     # base dt 1.0 at 48^2 blows straight through the courant limit
     assert main(["run", "square-translate", "--dt", "1.0",
                  "--out", str(tmp_path / "c")]) == 3
+    # a time step or step count that is no step at all is a configuration
+    # error, caught before any directory is made
+    for dt in ("0", "-0.001", "inf", "nan"):
+        assert main(["run", "square-translate", "--dt", dt,
+                     "--out", str(tmp_path / "dt")]) == 2
+    assert main(["run", "convergence-smooth-constant", "--steps", "0",
+                 "--out", str(tmp_path / "steps")]) == 2
+    assert not (tmp_path / "dt").exists()
+    assert not (tmp_path / "steps").exists()
     assert main(["slope", str(tmp_path / "missing.csv")]) == 4
     short = tmp_path / "short.csv"
     from lieform.output import write_error_table
