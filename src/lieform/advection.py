@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .contraction import contract
 from .derivative import exterior_derivative
-from .forms import Cochain, _check_finite, axpy
+from .forms import Cochain, NonFiniteValueError, _check_finite, axpy
 from .reconstruct import CourantError, SchemeKind
 from .velocity import StaggeredVelocity, max_courant
 
@@ -63,12 +63,22 @@ def step(omega: Cochain, vel: StaggeredVelocity,
 
 def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
            observer: Optional[Callable[[int, Cochain], None]] = None) -> Cochain:
-    """Run config.steps updates; the observer sees state 0 first."""
+    """Run config.steps updates; the observer sees state 0 first.
+
+    A CourantError or NonFiniteValueError raised by a step is re-raised
+    as the same type, its message prefixed with the step index, scheme
+    and grid size.
+    """
     state = omega
     if observer is not None:
         observer(0, state)
     for k in range(1, config.steps + 1):
-        state = step(state, vel, config)
+        try:
+            state = step(state, vel, config)
+        except (CourantError, NonFiniteValueError) as err:
+            grid = omega.grid
+            raise type(err)(f"step {k} ({config.scheme.value}, "
+                            f"{grid.nx}x{grid.ny}): {err}") from err
         if observer is not None:
             observer(k, state)
     return state

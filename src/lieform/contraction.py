@@ -10,13 +10,16 @@ The piecewise-constant paths keep every product and sum in the exact
 order of the reference loop formulation, working directly on integral
 values. The WENO paths convert to 1-D averages (value / h), reconstruct
 an interface point value, then integrate: ((value * flux) * dt) / h.
+
+A velocity's flux arrays are read-only and its upwind sides are fixed,
+so the flux-derived data used here (node fluxes and their unhalved sums,
+the flat index of each upwind entry, the peak flux behind the Courant
+guard) is computed once per velocity and reused by every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .forms import Cochain
 from .reconstruct import CourantError, SchemeKind, interface_point_values
@@ -29,19 +32,19 @@ class ContractionResult:
     dt: float
 
 
-def _pc_upwind(plane: np.ndarray, flux: np.ndarray, axis: int) -> np.ndarray:
-    """Entry on the upwind side of each interface, integral units."""
-    return np.where(flux >= 0.0, np.roll(plane, 1, axis=axis), plane)
-
-
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                    scheme: SchemeKind) -> Cochain:
-    """Transport swept through each edge, as a 1-form."""
+    """Transport swept through each edge, as a 1-form.
+
+    The upwind path gathers each face's upwind cell through the flat
+    indices the velocity fixes on first use.
+    """
     grid = omega.grid
     w = omega.plane()
     if scheme is SchemeKind.UPWIND:
-        ex = (-(dt / grid.h ** 2)) * vel.flux_y * _pc_upwind(w, vel.flux_y, 0)
-        ey = (dt / grid.h ** 2) * vel.flux_x * _pc_upwind(w, vel.flux_x, 1)
+        up_x, up_y = vel._face_upwind
+        ex = (-(dt / grid.h ** 2)) * vel.flux_y * w.take(up_y)
+        ey = (dt / grid.h ** 2) * vel.flux_x * w.take(up_x)
     else:
         u = w / grid.h
         rx = interface_point_values(u, 0, vel.flux_y, scheme)
@@ -56,19 +59,18 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     """Transport of edge values onto vertices, as a 0-form.
 
     Fluxes are averaged onto the vertex lattice (two-point transverse
-    means); the upwind edge flips with the averaged flux sign.
+    means); the upwind edge flips with the averaged flux sign. The
+    upwind path reads that sign from the unhalved sums, which the
+    velocity computes once, as it does the upwind edge of every vertex.
     """
     grid = omega.grid
     wx = omega.component("x")
     wy = omega.component("y")
     if scheme is SchemeKind.UPWIND:
-        # Signs come from the unhalved sums: halving a tiny negative sum
-        # can round to -0.0, which would flip its >= 0 test.
-        sum_x = vel.flux_x + np.roll(vel.flux_x, 1, axis=0)
-        sum_y = vel.flux_y + np.roll(vel.flux_y, 1, axis=1)
-        src_x = np.where(sum_x >= 0.0, np.roll(wx, 1, axis=1), wx)
-        src_y = np.where(sum_y >= 0.0, np.roll(wy, 1, axis=0), wy)
-        node = dt / (2.0 * grid.h ** 2) * (sum_x * src_x + sum_y * src_y)
+        sum_x, sum_y = vel._node_sums
+        up_x, up_y = vel._node_upwind
+        node = dt / (2.0 * grid.h ** 2) * (sum_x * wx.take(up_x)
+                                           + sum_y * wy.take(up_y))
     else:
         avg_x, avg_y = average_to_node(vel)
         rx = interface_point_values(wx / grid.h, 1, avg_x, scheme)

@@ -155,9 +155,8 @@ class RectangleForm:
 
 
 def _check_finite(values: np.ndarray, grid: GridComplex2D, degree: int, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
+    if not np.isfinite(values).all():
+        idx = int(np.flatnonzero(~np.isfinite(values))[0])
         ref = grid.unflatten(degree, idx) if degree in REAL_DEGREES else idx
         raise NonFiniteValueError(f"non-finite value at {ref} {what}")
 

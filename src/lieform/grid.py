@@ -112,8 +112,23 @@ def build_complex(nx: int, ny: int, h: float) -> GridComplex2D:
 
 
 def shifted(plane: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
-    """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx]."""
-    return np.roll(plane, shift=(-dj, -di), axis=(0, 1))
+    """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx].
+
+    A copy made of up to four block slices; the blocks that wrap around
+    are skipped where a shift is a whole multiple of the extent.
+    """
+    ny, nx = plane.shape
+    dj %= ny
+    di %= nx
+    out = np.empty_like(plane)
+    out[:ny - dj, :nx - di] = plane[dj:, di:]
+    if di:
+        out[:ny - dj, nx - di:] = plane[dj:, :di]
+    if dj:
+        out[ny - dj:, :nx - di] = plane[:dj, di:]
+        if di:
+            out[ny - dj:, nx - di:] = plane[:dj, :di]
+    return out
 
 
 def boundary_chain(grid: GridComplex2D, ref: CellRef) -> list[tuple[int, int]]:

@@ -7,11 +7,18 @@ y-edge (i, j); flux_y[j, i] the flow through the horizontal edge at x-edge
 Stream-function construction samples psi only at the nodes of the grid and
 takes wrapped differences, so the discrete divergence of the resulting
 fluxes telescopes to zero (up to roundoff of the psi values themselves).
+
+A StaggeredVelocity is immutable: it holds read-only copies of its flux
+arrays, so everything derived from them (the peak flux behind the
+Courant number, the node-averaged fluxes and the upwind side of every
+face and node) is computed once per velocity, on first use, and reused
+by every later step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,20 +26,67 @@ import numpy as np
 from .grid import GridComplex2D, shifted
 
 
-@dataclass
+def _read_only(plane: np.ndarray) -> np.ndarray:
+    plane.flags.writeable = False
+    return plane
+
+
+def _upwind_index(signs: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """Flat index of the upwind entry at each interface of a plane.
+
+    Where signs >= 0.0 (so -0.0 counts as positive) the upwind entry is
+    the one a step (-di, -dj) back; elsewhere it is the entry itself.
+    """
+    own = np.arange(signs.size).reshape(signs.shape)
+    return _read_only(np.where(signs >= 0.0, shifted(own, di=-di, dj=-dj), own))
+
+
+@dataclass(frozen=True, eq=False)
 class StaggeredVelocity:
+    """Steady flux field; flux_x and flux_y are read-only float64 copies."""
+
     grid: GridComplex2D
     flux_x: np.ndarray
     flux_y: np.ndarray
 
     def __post_init__(self) -> None:
-        self.flux_x = np.asarray(self.flux_x, dtype=np.float64)
-        self.flux_y = np.asarray(self.flux_y, dtype=np.float64)
-        for name, plane in (("flux_x", self.flux_x), ("flux_y", self.flux_y)):
+        for name in ("flux_x", "flux_y"):
+            plane = np.array(getattr(self, name), dtype=np.float64)
             if plane.shape != self.grid.shape:
                 raise ValueError(f"{name} shape {plane.shape} != {self.grid.shape}")
             if not np.isfinite(plane).all():
                 raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, _read_only(plane))
+
+    @cached_property
+    def _peak_flux(self) -> float:
+        return max(np.abs(self.flux_x).max(), np.abs(self.flux_y).max())
+
+    @cached_property
+    def _node_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unhalved two-point sums of each flux onto the vertex lattice."""
+        return (_read_only(self.flux_x + shifted(self.flux_x, dj=-1)),
+                _read_only(self.flux_y + shifted(self.flux_y, di=-1)))
+
+    @cached_property
+    def _node_fluxes(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_read_only(s / 2.0) for s in self._node_sums)
+
+    @cached_property
+    def _face_upwind(self) -> tuple[np.ndarray, np.ndarray]:
+        """Upwind cells of the x and y faces of a cell plane, by flux sign."""
+        return (_upwind_index(self.flux_x, 1, 0),
+                _upwind_index(self.flux_y, 0, 1))
+
+    @cached_property
+    def _node_upwind(self) -> tuple[np.ndarray, np.ndarray]:
+        """Upwind x and y edges of each vertex, by the sign of the sums.
+
+        The sums are unhalved: halving a tiny negative sum can round to
+        -0.0, which would flip its >= 0 test.
+        """
+        sum_x, sum_y = self._node_sums
+        return _upwind_index(sum_x, 1, 0), _upwind_index(sum_y, 0, 1)
 
     def divergence(self) -> np.ndarray:
         """Net outflow per cell; identically ~0 for admissible fields.
@@ -45,7 +99,7 @@ class StaggeredVelocity:
 
     def max_speed(self) -> float:
         """Largest pointwise velocity magnitude estimate, flux / h."""
-        return float(max(np.abs(self.flux_x).max(), np.abs(self.flux_y).max()) / self.grid.h)
+        return float(self._peak_flux / self.grid.h)
 
 
 @dataclass(frozen=True)
@@ -92,13 +146,13 @@ def discretize_velocity(
 
 
 def average_to_node(vel: StaggeredVelocity) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point averages of each flux component onto the vertex lattice."""
-    nx_ = (vel.flux_x + shifted(vel.flux_x, dj=-1)) / 2.0
-    ny_ = (vel.flux_y + shifted(vel.flux_y, di=-1)) / 2.0
-    return nx_, ny_
+    """Two-point averages of each flux component onto the vertex lattice.
+
+    Computed once per velocity; the returned arrays are read-only.
+    """
+    return vel._node_fluxes
 
 
 def max_courant(vel: StaggeredVelocity, dt: float) -> float:
     """max |flux| * dt / h^2, the per-axis cell-crossing fraction."""
-    peak = max(np.abs(vel.flux_x).max(), np.abs(vel.flux_y).max())
-    return float(peak * dt / vel.grid.h ** 2)
+    return float(vel._peak_flux * dt / vel.grid.h ** 2)

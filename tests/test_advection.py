@@ -134,3 +134,30 @@ def test_2form_mass_is_conserved(scheme):
     m0 = math.fsum(w0.values.tolist())
     m1 = math.fsum(w.values.tolist())
     assert abs(m1 - m0) <= 1e-12 * math.fsum(np.abs(w0.values).tolist())
+
+
+def test_advect_errors_name_the_step():
+    # Upwind at Courant number 1 on both axes amplifies every step, so a
+    # state near the top of the float range overflows a few steps in.
+    g = build_complex(9, 8, 0.25)
+    vel = StaggeredVelocity(g, np.full(g.shape, 0.25), np.full(g.shape, 0.25))
+    rng = np.random.default_rng(251)
+    w0 = Cochain.from_plane(g, 2, rng.standard_normal(g.shape) * 1e300)
+    config = AdvectionConfig(0.25, 100, courant_limit=1.0)
+    state, first_bad = w0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.steps + 1):
+            try:
+                state = step(state, vel, config)
+            except NonFiniteValueError:
+                first_bad = k
+                break
+        assert first_bad is not None and first_bad > 1
+        with pytest.raises(NonFiniteValueError,
+                           match=rf"^step {first_bad} \(upwind, 9x8\): "
+                                 r"non-finite value at CellRef"):
+            advect(w0, vel, config)
+    with pytest.raises(CourantError,
+                       match=r"^step 1 \(weno5, 9x8\): courant number 1 "
+                             r"exceeds the configured limit 0\.5"):
+        advect(w0, vel, AdvectionConfig(0.25, 3, SchemeKind.WENO5))

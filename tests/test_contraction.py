@@ -21,33 +21,70 @@ def _random_setup(rng, nx, ny, scale=1.0):
     return g, StaggeredVelocity(g, fx, fy)
 
 
+# Fluxes on the edge of the >= 0.0 upwind rule: both zeros, and
+# subnormals whose pairwise sums include +0.0 (a + -a), -0.0 (-0.0 +
+# -0.0) and tiny negatives that halve to -0.0 (5e-324 + -1e-323).
+SIGN_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323,
+                       0.3 * H, -0.3 * H])
+
+
+def _sign_edge_setup(rng, nx, ny):
+    g = build_complex(nx, ny, H)
+    return g, StaggeredVelocity(g, rng.choice(SIGN_EDGES, g.shape),
+                                rng.choice(SIGN_EDGES, g.shape))
+
+
+def _same_bits(got, want):
+    """Equal as IEEE bit patterns, so the sign of a zero counts too."""
+    return (np.ascontiguousarray(got).tobytes()
+            == np.array(want, dtype=np.float64).tobytes())
+
+
+def _zero_kinds(values):
+    """Which of +0.0, -0.0 and negatives that halve to -0.0 occur."""
+    zero = values == 0.0
+    return {"+0": bool((zero & ~np.signbit(values)).any()),
+            "-0": bool((zero & np.signbit(values)).any()),
+            "halves to -0": bool(((values < 0.0) & (values / 2.0 == 0.0)).any())}
+
+
 @pytest.mark.parametrize("nx,ny", [(5, 4), (8, 8), (9, 8)])
 def test_contract_2form_upwind_matches_loop(nx, ny):
     rng = np.random.default_rng(101)
     dt = 0.3 * H
-    for _ in range(10):
-        g, vel = _random_setup(rng, nx, ny)
+    seen = set()
+    for k in range(20):
+        g, vel = (_random_setup if k < 10 else _sign_edge_setup)(rng, nx, ny)
         w = rng.standard_normal(g.shape)
         got = contract(Cochain.from_plane(g, 2, w), vel, dt).cochain
         ex, ey = reference.transport_2form_loop(
             w.tolist(), vel.flux_x.tolist(), vel.flux_y.tolist(), dt, H)
-        assert np.array_equal(got.component("x"), np.array(ex))
-        assert np.array_equal(got.component("y"), np.array(ey))
+        assert _same_bits(got.component("x"), ex)
+        assert _same_bits(got.component("y"), ey)
+        for flux in (vel.flux_x, vel.flux_y):
+            seen.update(kind for kind, hit in _zero_kinds(flux).items() if hit)
+    assert seen == {"+0", "-0", "halves to -0"}
 
 
 @pytest.mark.parametrize("nx,ny", [(5, 4), (8, 8), (9, 8)])
 def test_contract_1form_upwind_matches_loop(nx, ny):
     rng = np.random.default_rng(103)
     dt = 0.3 * H
-    for _ in range(10):
-        g, vel = _random_setup(rng, nx, ny)
+    seen = set()
+    for k in range(20):
+        g, vel = (_random_setup if k < 10 else _sign_edge_setup)(rng, nx, ny)
         wx = rng.standard_normal(g.shape)
         wy = rng.standard_normal(g.shape)
         got = contract(Cochain.from_components(g, wx, wy), vel, dt).cochain
         node = reference.transport_1form_loop(
             wx.tolist(), wy.tolist(),
             vel.flux_x.tolist(), vel.flux_y.tolist(), dt, H)
-        assert np.array_equal(got.plane(), np.array(node))
+        assert _same_bits(got.plane(), node)
+        sums = (vel.flux_x + np.roll(vel.flux_x, 1, axis=0),
+                vel.flux_y + np.roll(vel.flux_y, 1, axis=1))
+        for s in sums:
+            seen.update(kind for kind, hit in _zero_kinds(s).items() if hit)
+    assert seen == {"+0", "-0", "halves to -0"}
 
 
 @pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])

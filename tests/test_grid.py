@@ -75,11 +75,20 @@ def test_cellref_validation():
 def test_shifted_semantics():
     rng = np.random.default_rng(11)
     p = rng.standard_normal((4, 5))
-    for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1), (2, 3)):
+    # past the extent, whole multiples of it, negative on both axes, zero
+    for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1), (2, 3), (5, 4),
+                   (-6, 9), (0, 0), (-1, -1), (-5, -8), (4, 3), (11, -3)):
         s = shifted(p, di=di, dj=dj)
         for j in range(4):
             for i in range(5):
                 assert s[j, i] == p[(j + dj) % 4, (i + di) % 5]
+    # always a fresh writable array, also from a read-only plane
+    frozen = p.copy()
+    frozen.flags.writeable = False
+    s = shifted(frozen, di=0, dj=0)
+    assert not np.shares_memory(s, frozen)
+    s[0, 0] = 7.0
+    assert frozen[0, 0] == p[0, 0]
 
 
 def test_node_coords():

@@ -223,8 +223,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "nope"]) == 2
     assert main(["run", "square-translate", "--res", "abc"]) == 2
     # base dt 1.0 at 48^2 blows straight through the courant limit
+    capsys.readouterr()
     assert main(["run", "square-translate", "--dt", "1.0",
                  "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: step 1 (upwind, 48x48): courant number")
     # a time step or step count that is no step at all is a configuration
     # error, caught before any directory is made
     for dt in ("0", "-0.001", "inf", "nan"):

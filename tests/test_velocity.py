@@ -1,9 +1,15 @@
 """Staggered flux fields: construction, divergence, courant numbers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lieform.advection import AdvectionConfig, step
+from lieform.contraction import contract
+from lieform.forms import Cochain
 from lieform.grid import build_complex
+from lieform.reconstruct import SchemeKind
 from lieform.velocity import (ConstantVelocity, StaggeredVelocity,
                               StreamFunctionVelocity, average_to_node,
                               discretize_velocity, max_courant, rudman_vortex)
@@ -78,3 +84,70 @@ def test_max_courant_frozen():
     vel = discretize_velocity(ConstantVelocity(1.0, 1.0), g)
     assert max_courant(vel, 1e-3) == 0.048
     assert max_courant(vel, 0.0) == 0.0
+
+
+def test_fluxes_are_read_only_copies():
+    g = build_complex(6, 5, 0.2)
+    fx = np.linspace(-0.1, 0.1, g.size).reshape(g.shape)
+    fy = np.full(g.shape, 0.05)
+    vel = StaggeredVelocity(g, fx, fy)
+    with pytest.raises(ValueError):
+        vel.flux_x[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        vel.flux_y[...] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vel.flux_x = np.zeros(g.shape)
+    ax, ay = average_to_node(vel)
+    assert not ax.flags.writeable and not ay.flags.writeable
+    assert average_to_node(vel)[0] is ax
+    # the caller keeps a writable array of its own
+    fx[0, 0] = 1.0
+    assert vel.flux_x[0, 0] == -0.1
+    assert fx.flags.writeable
+
+
+def test_source_mutation_leaves_velocity_unchanged():
+    g = build_complex(8, 8, 0.25)
+    rng = np.random.default_rng(17)
+    fx = rng.uniform(-0.1, 0.1, g.shape)
+    fy = rng.uniform(-0.1, 0.1, g.shape)
+    want = StaggeredVelocity(g, fx.copy(), fy.copy())
+    w = Cochain.from_components(g, rng.standard_normal(g.shape),
+                                rng.standard_normal(g.shape))
+    want_inc = contract(w, want, 0.05).cochain.values
+    vel = StaggeredVelocity(g, fx, fy)
+    # one derived datum cached before the writes, the rest after them
+    assert max_courant(vel, 0.05) == max_courant(want, 0.05)
+    fx *= -4.0
+    fy[2, 3] = 9.0
+    assert np.array_equal(vel.flux_x, want.flux_x)
+    assert np.array_equal(vel.flux_y, want.flux_y)
+    assert max_courant(vel, 0.05) == max_courant(want, 0.05)
+    assert np.array_equal(contract(w, vel, 0.05).cochain.values, want_inc)
+
+
+def test_reused_velocity_matches_fresh_objects():
+    # A velocity carries its derived data across calls; it must depend
+    # on the fluxes alone, never on the dt, scheme or form it first saw.
+    g = build_complex(9, 8, 0.25)
+    rng = np.random.default_rng(19)
+    fx = rng.uniform(-1.0, 1.0, g.shape) * 0.125
+    fy = rng.uniform(-1.0, 1.0, g.shape) * 0.125
+    forms = [Cochain.from_plane(g, 0, rng.standard_normal(g.shape)),
+             Cochain.from_components(g, rng.standard_normal(g.shape),
+                                     rng.standard_normal(g.shape)),
+             Cochain.from_plane(g, 2, rng.standard_normal(g.shape))]
+    shared = StaggeredVelocity(g, fx, fy)
+    for dt in (0.05, 0.0125):
+        for scheme in SchemeKind:
+            config = AdvectionConfig(dt, 1, scheme)
+            for omega in forms:
+                got = contract(omega, shared, dt, scheme).cochain.values
+                want = contract(omega, StaggeredVelocity(g, fx, fy), dt,
+                                scheme).cochain.values
+                assert got.tobytes() == want.tobytes()
+                got = step(omega, shared, config).values
+                want = step(omega, StaggeredVelocity(g, fx, fy), config).values
+                assert got.tobytes() == want.tobytes()
+            assert (max_courant(shared, dt)
+                    == max_courant(StaggeredVelocity(g, fx, fy), dt))
