@@ -20,8 +20,7 @@ from .output import (ErrorRecord, RasterImage, read_error_table, read_field,
                      write_pgm)
 from .reconstruct import (SMOOTH_EPS, CourantError, SchemeKind, Stencil1D,
                           extrusion_integral, interface_point_values,
-                          reconstruct_at_interface, reconstruction_weights,
-                          smoothness_indicators)
+                          reconstruct_at_interface)
 from .scenarios import (Scenario, apply_overrides, builtin_scenario,
                         fit_convergence_slope, run_scenario, scenario_names,
                         split_fv_step)
@@ -44,8 +43,7 @@ __all__ = [
     "write_pgm",
     "SMOOTH_EPS", "CourantError", "SchemeKind", "Stencil1D",
     "extrusion_integral", "interface_point_values",
-    "reconstruct_at_interface", "reconstruction_weights",
-    "smoothness_indicators",
+    "reconstruct_at_interface",
     "Scenario", "apply_overrides", "builtin_scenario",
     "fit_convergence_slope", "run_scenario", "scenario_names",
     "split_fv_step",

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .contraction import contract
 from .derivative import exterior_derivative
 from .forms import Cochain, NonFiniteValueError, _check_finite, axpy
-from .reconstruct import CourantError, SchemeKind
+from .reconstruct import CourantError, SchemeKind, _require_extent
 from .velocity import StaggeredVelocity, max_courant
 
 
@@ -50,7 +50,10 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
             f"limit {config.courant_limit:g}")
     a = contract(exterior_derivative(omega), vel, config.dt, config.scheme).cochain
     b = exterior_derivative(contract(omega, vel, config.dt, config.scheme).cochain)
-    return Cochain(omega.grid, omega.degree, a.values + b.values)
+    # a's values are a fresh buffer, so the sum goes straight into it.
+    values = a.values
+    values += b.values
+    return Cochain(omega.grid, omega.degree, values)
 
 
 def step(omega: Cochain, vel: StaggeredVelocity,
@@ -61,24 +64,38 @@ def step(omega: Cochain, vel: StaggeredVelocity,
     return out
 
 
+def _step_at(k: int, advance, omega: Cochain, vel: StaggeredVelocity,
+             config: AdvectionConfig) -> Cochain:
+    """advance(omega, vel, config) as step k of a run.
+
+    A CourantError or NonFiniteValueError it raises is re-raised as the
+    same type, its message prefixed with the step index, scheme and grid
+    size. Callers pass the step function they look up, so a replaced
+    module-level step is the one that runs.
+    """
+    try:
+        return advance(omega, vel, config)
+    except (CourantError, NonFiniteValueError) as err:
+        grid = omega.grid
+        raise type(err)(f"step {k} ({config.scheme.value}, "
+                        f"{grid.nx}x{grid.ny}): {err}") from err
+
+
 def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
            observer: Optional[Callable[[int, Cochain], None]] = None) -> Cochain:
     """Run config.steps updates; the observer sees state 0 first.
 
-    A CourantError or NonFiniteValueError raised by a step is re-raised
-    as the same type, its message prefixed with the step index, scheme
-    and grid size.
+    A grid too small for the scheme's stencil raises ValueError before
+    the observer is called. Errors raised by a step name the step, as
+    _step_at describes.
     """
+    grid = omega.grid
+    _require_extent(min(grid.nx, grid.ny), config.scheme)
     state = omega
     if observer is not None:
         observer(0, state)
     for k in range(1, config.steps + 1):
-        try:
-            state = step(state, vel, config)
-        except (CourantError, NonFiniteValueError) as err:
-            grid = omega.grid
-            raise type(err)(f"step {k} ({config.scheme.value}, "
-                            f"{grid.nx}x{grid.ny}): {err}") from err
+        state = _step_at(k, step, state, vel, config)
         if observer is not None:
             observer(k, state)
     return state

@@ -9,7 +9,9 @@ degrees uniformly.
 The piecewise-constant paths keep every product and sum in the exact
 order of the reference loop formulation, working directly on integral
 values. The WENO paths convert to 1-D averages (value / h), reconstruct
-an interface point value, then integrate: ((value * flux) * dt) / h.
+an interface point value, then integrate: ((value * flux) * dt) / h,
+computed in place on the reconstruction's fresh output (a leading minus
+becomes a final *= -1.0, the same IEEE operation).
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
@@ -32,6 +34,14 @@ class ContractionResult:
     dt: float
 
 
+def _integrate(r, flux, dt: float, h: float):
+    """((r * flux) * dt) / h, written into the fresh point values r."""
+    r *= flux
+    r *= dt
+    r /= h
+    return r
+
+
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                    scheme: SchemeKind) -> Cochain:
     """Transport swept through each edge, as a 1-form.
@@ -47,10 +57,11 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
         ey = (dt / grid.h ** 2) * vel.flux_x * w.take(up_x)
     else:
         u = w / grid.h
-        rx = interface_point_values(u, 0, vel.flux_y, scheme)
-        ry = interface_point_values(u, 1, vel.flux_x, scheme)
-        ex = -(((rx * vel.flux_y) * dt) / grid.h)
-        ey = ((ry * vel.flux_x) * dt) / grid.h
+        ex = _integrate(interface_point_values(u, 0, vel.flux_y, scheme),
+                        vel.flux_y, dt, grid.h)
+        ex *= -1.0
+        ey = _integrate(interface_point_values(u, 1, vel.flux_x, scheme),
+                        vel.flux_x, dt, grid.h)
     return Cochain.from_components(grid, ex, ey)
 
 
@@ -73,9 +84,10 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                                            + sum_y * wy.take(up_y))
     else:
         avg_x, avg_y = average_to_node(vel)
-        rx = interface_point_values(wx / grid.h, 1, avg_x, scheme)
-        ry = interface_point_values(wy / grid.h, 0, avg_y, scheme)
-        node = ((rx * avg_x) * dt) / grid.h + ((ry * avg_y) * dt) / grid.h
+        node = _integrate(interface_point_values(wx / grid.h, 1, avg_x, scheme),
+                          avg_x, dt, grid.h)
+        node += _integrate(interface_point_values(wy / grid.h, 0, avg_y, scheme),
+                           avg_y, dt, grid.h)
     return Cochain.from_plane(grid, 0, node)
 
 

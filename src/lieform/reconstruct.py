@@ -8,9 +8,19 @@ lower index uses the mirrored window, which callers build by reversing
 the read direction. The plane path reconstructs every interface of a
 plane in one kernel pass: the width + 1 wrapped shifts of the plane hold
 both upwind windows, and each interface picks its window from them by
-its own flow sign. The arithmetic below is order-pinned (left-assoc
-sums, explicit products instead of powers) so the scalar kernel and the
-vectorized plane path produce bitwise identical results.
+its own flow sign.
+
+The arithmetic below is order-pinned (left-assoc sums, explicit products
+instead of powers) so the scalar kernel and the vectorized plane path
+produce bitwise identical results. Each expression chain makes one fresh
+result and updates it in place by augmented assignment, which rebinds a
+Python float and writes an array's own buffer, so one code path serves
+both. Where this departs from the written formula it uses only rewrites
+that are exact in IEEE arithmetic: a - c*x becomes a += (-c)*x, since
+negation is exact and a - b is a + (-b); x * poly becomes poly *= x,
+since multiplication commutes. Window entries are views of the wrapped
+copy or of the caller's plane and are never written: every chain starts
+from a fresh product, sum or negation.
 """
 
 from __future__ import annotations
@@ -74,43 +84,104 @@ class Stencil1D:
             raise ValueError(f"unsupported window width {len(self.values)}")
 
 
-def _sq(v):
-    # v * v, never v**2: keeps scalar and array paths on the same ops.
-    return v * v
+def _beta5(curv, slope):
+    """_C13 * curv**2 + 0.25 * slope**2, written into curv and slope."""
+    curv *= curv
+    curv *= _C13
+    slope *= slope
+    slope *= 0.25
+    curv += slope
+    return curv
 
 
 def _weno5_parts(w0, w1, w2, w3, w4):
-    b0 = _C13 * _sq(w0 - 2.0 * w1 + w2) + 0.25 * _sq(w0 - 4.0 * w1 + 3.0 * w2)
-    b1 = _C13 * _sq(w1 - 2.0 * w2 + w3) + 0.25 * _sq(w1 - w3)
-    b2 = _C13 * _sq(w2 - 2.0 * w3 + w4) + 0.25 * _sq(3.0 * w2 - 4.0 * w3 + w4)
-    p0 = (2.0 * w0 - 7.0 * w1 + 11.0 * w2) / 6.0
-    p1 = (-w1 + 5.0 * w2 + 2.0 * w3) / 6.0
-    p2 = (2.0 * w2 + 5.0 * w3 - w4) / 6.0
-    return (b0, b1, b2), (p0, p1, p2)
+    c0 = w0 - 2.0 * w1
+    c0 += w2
+    s0 = w0 - 4.0 * w1
+    s0 += 3.0 * w2
+    c1 = w1 - 2.0 * w2
+    c1 += w3
+    c2 = w2 - 2.0 * w3
+    c2 += w4
+    s2 = 3.0 * w2
+    s2 += -4.0 * w3
+    s2 += w4
+    betas = (_beta5(c0, s0), _beta5(c1, w1 - w3), _beta5(c2, s2))
+    p0 = 2.0 * w0
+    p0 += -7.0 * w1
+    p0 += 11.0 * w2
+    p0 /= 6.0
+    p1 = -w1
+    p1 += 5.0 * w2
+    p1 += 2.0 * w3
+    p1 /= 6.0
+    p2 = 2.0 * w2
+    p2 += 5.0 * w3
+    p2 -= w4
+    p2 /= 6.0
+    return betas, (p0, p1, p2)
+
+
+# Each WENO7 smoothness indicator is a quadratic form in the four cells
+# x0..x3 of its candidate, (r0, r1, r2, c) giving
+#   (x0 * (r0 . x) + x1 * (r1 . x[1:]) + x2 * (r2 . x[2:]) + c * (x3 * x3)) / 240,
+# each dot product summed left to right.
+_B7 = (
+    ((547.0, -3882.0, 4642.0, -1854.0), (7043.0, -17246.0, 7042.0),
+     (11003.0, -9402.0), 2107.0),
+    ((267.0, -1642.0, 1602.0, -494.0), (2843.0, -5966.0, 1922.0),
+     (3443.0, -2522.0), 547.0),
+    ((547.0, -2522.0, 1922.0, -494.0), (3443.0, -5966.0, 1602.0),
+     (2843.0, -1642.0), 267.0),
+    ((2107.0, -9402.0, 7042.0, -1854.0), (11003.0, -17246.0, 4642.0),
+     (7043.0, -3882.0), 547.0),
+)
 
 
 def _weno7_parts(v0, v1, v2, v3, v4, v5, v6):
-    b0 = (v0 * (547.0 * v0 - 3882.0 * v1 + 4642.0 * v2 - 1854.0 * v3)
-          + v1 * (7043.0 * v1 - 17246.0 * v2 + 7042.0 * v3)
-          + v2 * (11003.0 * v2 - 9402.0 * v3)
-          + 2107.0 * _sq(v3)) / 240.0
-    b1 = (v1 * (267.0 * v1 - 1642.0 * v2 + 1602.0 * v3 - 494.0 * v4)
-          + v2 * (2843.0 * v2 - 5966.0 * v3 + 1922.0 * v4)
-          + v3 * (3443.0 * v3 - 2522.0 * v4)
-          + 547.0 * _sq(v4)) / 240.0
-    b2 = (v2 * (547.0 * v2 - 2522.0 * v3 + 1922.0 * v4 - 494.0 * v5)
-          + v3 * (3443.0 * v3 - 5966.0 * v4 + 1602.0 * v5)
-          + v4 * (2843.0 * v4 - 1642.0 * v5)
-          + 267.0 * _sq(v5)) / 240.0
-    b3 = (v3 * (2107.0 * v3 - 9402.0 * v4 + 7042.0 * v5 - 1854.0 * v6)
-          + v4 * (11003.0 * v4 - 17246.0 * v5 + 4642.0 * v6)
-          + v5 * (7043.0 * v5 - 3882.0 * v6)
-          + 547.0 * _sq(v6)) / 240.0
-    p0 = (-3.0 * v0 + 13.0 * v1 - 23.0 * v2 + 25.0 * v3) / 12.0
-    p1 = (v1 - 5.0 * v2 + 13.0 * v3 + 3.0 * v4) / 12.0
-    p2 = (-v2 + 7.0 * v3 + 7.0 * v4 - v5) / 12.0
-    p3 = (3.0 * v3 + 13.0 * v4 - 5.0 * v5 + v6) / 12.0
-    return (b0, b1, b2, b3), (p0, p1, p2, p3)
+    window = (v0, v1, v2, v3, v4, v5, v6)
+    betas = []
+    for s, (r0, r1, r2, c) in enumerate(_B7):
+        x0, x1, x2, x3 = window[s:s + 4]
+        b = r0[0] * x0
+        b += r0[1] * x1
+        b += r0[2] * x2
+        b += r0[3] * x3
+        b *= x0
+        t = r1[0] * x1
+        t += r1[1] * x2
+        t += r1[2] * x3
+        t *= x1
+        b += t
+        t = r2[0] * x2
+        t += r2[1] * x3
+        t *= x2
+        b += t
+        t = x3 * x3
+        t *= c
+        b += t
+        b /= 240.0
+        betas.append(b)
+    p0 = -3.0 * v0
+    p0 += 13.0 * v1
+    p0 += -23.0 * v2
+    p0 += 25.0 * v3
+    p0 /= 12.0
+    p1 = v1 - 5.0 * v2
+    p1 += 13.0 * v3
+    p1 += 3.0 * v4
+    p1 /= 12.0
+    p2 = -v2
+    p2 += 7.0 * v3
+    p2 += 7.0 * v4
+    p2 -= v5
+    p2 /= 12.0
+    p3 = 3.0 * v3
+    p3 += 13.0 * v4
+    p3 += -5.0 * v5
+    p3 += v6
+    p3 /= 12.0
+    return tuple(betas), (p0, p1, p2, p3)
 
 
 def _parts(scheme: SchemeKind, window):
@@ -121,47 +192,42 @@ def _parts(scheme: SchemeKind, window):
     raise ValueError(f"scheme {scheme.value} has no candidate decomposition")
 
 
-def _alphas(betas, dopt):
-    return [d / _sq(SMOOTH_EPS + b) for d, b in zip(dopt, betas)]
-
-
 def _left_biased(scheme: SchemeKind, window):
     """Interface value from an upwind-ordered window."""
     if scheme is SchemeKind.UPWIND:
         return window[0]
     (betas, cands), dopt = _parts(scheme, window)
-    alphas = _alphas(betas, dopt)
-    total = alphas[0]
-    for a in alphas[1:]:
-        total = total + a
-    acc = (alphas[0] / total) * cands[0]
-    for a, p in zip(alphas[1:], cands[1:]):
-        acc = acc + (a / total) * p
+    alphas = []
+    for d, b in zip(dopt, betas):
+        s = SMOOTH_EPS + b
+        s *= s
+        alphas.append(d / s)
+    total = alphas[0] + alphas[1]
+    for a in alphas[2:]:
+        total += a
+    terms = []
+    for a, p in zip(alphas, cands):
+        a /= total
+        a *= p
+        terms.append(a)
+    acc = terms[0]
+    for t in terms[1:]:
+        acc += t
     return acc
-
-
-def smoothness_indicators(values, scheme: SchemeKind) -> np.ndarray:
-    """Per-candidate oscillation measures for a full window."""
-    _require_width(len(values), scheme)
-    (betas, _), _ = _parts(scheme, tuple(values))
-    return np.array(betas, dtype=np.float64)
-
-
-def reconstruction_weights(values, scheme: SchemeKind) -> np.ndarray:
-    """Normalized nonlinear candidate weights for a full window."""
-    _require_width(len(values), scheme)
-    (betas, _), dopt = _parts(scheme, tuple(values))
-    alphas = _alphas(betas, dopt)
-    total = alphas[0]
-    for a in alphas[1:]:
-        total = total + a
-    return np.array([a / total for a in alphas], dtype=np.float64)
 
 
 def _require_width(n: int, scheme: SchemeKind) -> None:
     if n != scheme.stencil_width:
         raise ValueError(
             f"scheme {scheme.value} needs {scheme.stencil_width} cells, got {n}")
+
+
+def _require_extent(n: int, scheme: SchemeKind) -> None:
+    """A plane axis of extent n must hold more cells than the stencil."""
+    if n <= scheme.stencil_width:
+        raise ValueError(
+            f"grid extent {n} too small for {scheme.value} "
+            f"(needs at least {scheme.stencil_width + 1} cells)")
 
 
 def reconstruct_at_interface(stencil: Stencil1D, scheme: SchemeKind) -> float:
@@ -210,10 +276,7 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     width = scheme.stencil_width
     n = u.shape[axis]
-    if n <= width:
-        raise ValueError(
-            f"grid extent {n} too small for {scheme.value} "
-            f"(needs more than {width} cells)")
+    _require_extent(n, scheme)
     c = (width - 1) // 2
     padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap")
     shifts = [padded[s:s + n] if axis == 0 else padded[:, s:s + n]

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .advection import AdvectionConfig, advect, step
+from .advection import AdvectionConfig, _step_at, advect, step
 from .forms import AnalyticForm, Cochain, RectangleForm, axpy, discretize, norm
 from .grid import build_complex, shifted
 from .output import ErrorRecord, render_field, write_error_table, write_field, write_pgm
@@ -157,7 +157,7 @@ def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
     if scenario.base_dt is not None:
         raw = scenario.base_dt * (h / h0)
     else:
-        peak = max(np.abs(vel.flux_x).max(), np.abs(vel.flux_y).max())
+        peak = vel._peak_flux
         if peak == 0.0:
             return scenario.duration, 1
         target = (scenario.courant_pc if scheme is SchemeKind.UPWIND
@@ -254,7 +254,7 @@ def _run_equivalence(w0: Cochain, vel: StaggeredVelocity, cfg: AdvectionConfig,
     worst = 0.0
     dump(0, geo)
     for k in range(1, cfg.steps + 1):
-        geo = step(geo, vel, cfg)
+        geo = _step_at(k, step, geo, vel, cfg)
         fv = split_fv_step(fv, vel, cfg.dt, cfg.scheme)
         gap = float(np.max(np.abs(geo.values - fv.values)))
         worst = max(worst, gap)

@@ -1,15 +1,18 @@
 """Independent slow references the test suite checks the package against.
 
-Three kinds of material live here. The loop section rewrites the stencil
+Four kinds of material live here. The loop section rewrites the stencil
 updates as naive scalar Python with explicit modular wrapping, keeping
 every sum and product in the order the vectorized planes use, so the
 comparisons can demand bitwise equality. The sparse incidence operator
 assembles the chain boundary as a scipy.sparse matrix, so the stencil
 coboundary and the identity "boundary of a boundary is zero" can be
-checked against plain matrix products. The exact-rational section
-rederives the reconstruction tables from polynomial reproduction
-conditions with fractions.Fraction, giving the frozen float constants an
-origin that is not themselves.
+checked against plain matrix products. The written-form WENO kernel
+spells the reconstruction formulas as plain expressions; the package's
+in-place kernels must match it bit for bit, and the smoothness
+indicators and nonlinear weights the exact-rational tests examine are
+read from it. The exact-rational section rederives the reconstruction
+tables from polynomial reproduction conditions with fractions.Fraction,
+giving the frozen float constants an origin that is not themselves.
 
 Nothing here imports from lieform. Where a test wants a package kernel
 inside an otherwise independent driver (the flux-difference step), the
@@ -260,6 +263,114 @@ def fv_step_2form_loop(w, fx, fy, dt, h, width, transport):
                         - south[(j + 1) % ny][i] - west[j][i])
              for i in range(nx)]
             for j in range(ny)]
+
+
+# ---------------------------------------------------------------------------
+# WENO kernel in its written form
+#
+# The package kernels make one fresh result per expression chain and
+# update it in place. These are the same formulas as plain expressions,
+# one fresh value per operation, kept as the oracle that pins the
+# package's bits. They take scalars or equal-shape arrays alike.
+
+SMOOTH_EPS = 1e-6
+
+_C13 = 13.0 / 12.0
+
+# Optimal (smooth-limit) candidate weights.
+_D5 = (0.1, 0.6, 0.3)
+_D7 = (1.0 / 35.0, 12.0 / 35.0, 18.0 / 35.0, 4.0 / 35.0)
+
+
+def _sq(v):
+    # v * v, never v**2: keeps scalar and array paths on the same ops.
+    return v * v
+
+
+def weno5_parts(w0, w1, w2, w3, w4):
+    b0 = _C13 * _sq(w0 - 2.0 * w1 + w2) + 0.25 * _sq(w0 - 4.0 * w1 + 3.0 * w2)
+    b1 = _C13 * _sq(w1 - 2.0 * w2 + w3) + 0.25 * _sq(w1 - w3)
+    b2 = _C13 * _sq(w2 - 2.0 * w3 + w4) + 0.25 * _sq(3.0 * w2 - 4.0 * w3 + w4)
+    p0 = (2.0 * w0 - 7.0 * w1 + 11.0 * w2) / 6.0
+    p1 = (-w1 + 5.0 * w2 + 2.0 * w3) / 6.0
+    p2 = (2.0 * w2 + 5.0 * w3 - w4) / 6.0
+    return (b0, b1, b2), (p0, p1, p2)
+
+
+def weno7_parts(v0, v1, v2, v3, v4, v5, v6):
+    b0 = (v0 * (547.0 * v0 - 3882.0 * v1 + 4642.0 * v2 - 1854.0 * v3)
+          + v1 * (7043.0 * v1 - 17246.0 * v2 + 7042.0 * v3)
+          + v2 * (11003.0 * v2 - 9402.0 * v3)
+          + 2107.0 * _sq(v3)) / 240.0
+    b1 = (v1 * (267.0 * v1 - 1642.0 * v2 + 1602.0 * v3 - 494.0 * v4)
+          + v2 * (2843.0 * v2 - 5966.0 * v3 + 1922.0 * v4)
+          + v3 * (3443.0 * v3 - 2522.0 * v4)
+          + 547.0 * _sq(v4)) / 240.0
+    b2 = (v2 * (547.0 * v2 - 2522.0 * v3 + 1922.0 * v4 - 494.0 * v5)
+          + v3 * (3443.0 * v3 - 5966.0 * v4 + 1602.0 * v5)
+          + v4 * (2843.0 * v4 - 1642.0 * v5)
+          + 267.0 * _sq(v5)) / 240.0
+    b3 = (v3 * (2107.0 * v3 - 9402.0 * v4 + 7042.0 * v5 - 1854.0 * v6)
+          + v4 * (11003.0 * v4 - 17246.0 * v5 + 4642.0 * v6)
+          + v5 * (7043.0 * v5 - 3882.0 * v6)
+          + 547.0 * _sq(v6)) / 240.0
+    p0 = (-3.0 * v0 + 13.0 * v1 - 23.0 * v2 + 25.0 * v3) / 12.0
+    p1 = (v1 - 5.0 * v2 + 13.0 * v3 + 3.0 * v4) / 12.0
+    p2 = (-v2 + 7.0 * v3 + 7.0 * v4 - v5) / 12.0
+    p3 = (3.0 * v3 + 13.0 * v4 - 5.0 * v5 + v6) / 12.0
+    return (b0, b1, b2, b3), (p0, p1, p2, p3)
+
+
+def weno_parts(window):
+    """((betas, candidates), optimal weights) of a 5- or 7-cell window."""
+    if len(window) == 5:
+        return weno5_parts(*window), _D5
+    if len(window) == 7:
+        return weno7_parts(*window), _D7
+    raise ValueError(f"no candidate decomposition for {len(window)} cells")
+
+
+def weno_alphas(betas, dopt):
+    return [d / _sq(SMOOTH_EPS + b) for d, b in zip(dopt, betas)]
+
+
+def left_biased(window):
+    """Interface value from an upwind-ordered window (1, 5 or 7 cells)."""
+    if len(window) == 1:
+        return window[0]
+    (betas, cands), dopt = weno_parts(window)
+    alphas = weno_alphas(betas, dopt)
+    total = alphas[0]
+    for a in alphas[1:]:
+        total = total + a
+    acc = (alphas[0] / total) * cands[0]
+    for a, p in zip(alphas[1:], cands[1:]):
+        acc = acc + (a / total) * p
+    return acc
+
+
+def _require_width(n, scheme):
+    if n != scheme.stencil_width:
+        raise ValueError(
+            f"scheme {scheme.value} needs {scheme.stencil_width} cells, got {n}")
+
+
+def smoothness_indicators(values, scheme) -> np.ndarray:
+    """Per-candidate oscillation measures for a full window."""
+    _require_width(len(values), scheme)
+    (betas, _), _ = weno_parts(tuple(values))
+    return np.array(betas, dtype=np.float64)
+
+
+def reconstruction_weights(values, scheme) -> np.ndarray:
+    """Normalized nonlinear candidate weights for a full window."""
+    _require_width(len(values), scheme)
+    (betas, _), dopt = weno_parts(tuple(values))
+    alphas = weno_alphas(betas, dopt)
+    total = alphas[0]
+    for a in alphas[1:]:
+        total = total + a
+    return np.array([a / total for a in alphas], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,24 @@ def test_zero_velocity_is_exact_invariance(scheme):
     assert np.array_equal(out.values, w.values)
 
 
+@pytest.mark.parametrize("scheme,shape,extent", [
+    (SchemeKind.WENO7, (7, 12), 7),
+    (SchemeKind.WENO7, (12, 7), 7),
+    (SchemeKind.WENO5, (9, 5), 5),
+])
+def test_advect_checks_stencil_extent_first(scheme, shape, extent):
+    g = build_complex(*shape, 0.25)
+    vel = StaggeredVelocity(g, np.full(g.shape, 0.01), np.full(g.shape, 0.01))
+    seen = []
+    with pytest.raises(ValueError,
+                       match=rf"^grid extent {extent} too small for "
+                             rf"{scheme.value} \(needs at least "
+                             rf"{scheme.stencil_width + 1} cells\)$"):
+        advect(Cochain.zeros(g, 1), vel, AdvectionConfig(0.01, 3, scheme),
+               observer=lambda k, w: seen.append(k))
+    assert seen == []
+
+
 def test_non_finite_state_is_flagged():
     rng = np.random.default_rng(239)
     g, vel = _setup(rng)

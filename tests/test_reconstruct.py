@@ -2,7 +2,8 @@
 
 The candidate and blend tables are checked against exact rational
 reconstructions derived from scratch in reference.py, and the float
-kernels are checked on integer windows where the arithmetic is exact.
+kernels are checked on integer windows where the arithmetic is exact
+and bit for bit against the written-form kernel kept there.
 """
 
 import math
@@ -16,11 +17,10 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
-                                 _weno5_parts, _weno7_parts,
+                                 _left_biased, _weno5_parts, _weno7_parts,
                                  extrusion_integral, interface_point_values,
-                                 reconstruct_at_interface,
-                                 reconstruction_weights,
-                                 smoothness_indicators)
+                                 reconstruct_at_interface)
+from reference import reconstruction_weights, smoothness_indicators
 
 
 def test_scheme_kind_lookup():
@@ -279,6 +279,91 @@ def test_interface_point_values_property(case):
     scheme, axis, u, signs = case
     got = interface_point_values(u, axis, signs, scheme)
     _assert_same_bits(got, _scalar_plane(u, axis, signs, scheme))
+
+
+# Window entries from the ranges where rounding order shows: exact zeros
+# of both signs, subnormals, and magnitudes whose smoothness indicators
+# overflow when squared.
+_EDGE_FLOATS = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1e150, -1e150]),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ZeroDivisionError a float blend raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except ZeroDivisionError as err:
+        return type(err)
+
+
+@st.composite
+def _edge_windows(draw):
+    scheme = draw(st.sampled_from([SchemeKind.WENO5, SchemeKind.WENO7]))
+    count = draw(st.integers(1, 6))
+    cells = draw(hnp.arrays(np.float64, (scheme.stencil_width, count),
+                            elements=_EDGE_FLOATS))
+    return scheme, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_windows())
+def test_kernels_match_written_form_bitwise(case):
+    # the in-place kernels against the plain-expression oracle, on scalar
+    # windows and on read-only array windows (an entry written in place
+    # would raise)
+    scheme, cells = case
+    parts = _weno5_parts if scheme is SchemeKind.WENO5 else _weno7_parts
+    plane = []
+    for row in cells:
+        entry = row.copy()
+        entry.setflags(write=False)
+        plane.append(entry)
+    for got, want in zip(_outcome(parts, *plane),
+                         _outcome(reference.weno_parts, plane)[0]):
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+    got = _outcome(_left_biased, scheme, plane)
+    assert got.flags.writeable
+    assert np.array_equal(_bits(got),
+                          _bits(_outcome(reference.left_biased, plane)))
+    for column in cells.T:
+        window = tuple(float(v) for v in column)
+        want = _outcome(reference.left_biased, window)
+        got = _outcome(reconstruct_at_interface, Stencil1D(window, 1), scheme)
+        if want is ZeroDivisionError:
+            assert got is ZeroDivisionError
+        else:
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("pattern", ["positive", "negative", "mixed"])
+def test_interface_point_values_leaves_read_only_input(scheme, pattern):
+    rng = np.random.default_rng(29)
+    shape = (9, 10)
+    u = rng.standard_normal(shape)
+    mag = rng.uniform(0.1, 1.0, shape)
+    signs = {"positive": mag, "negative": -mag,
+             "mixed": mag * rng.choice([-1.0, 1.0], shape)}[pattern]
+    keep = u.copy()
+    u.setflags(write=False)
+    for axis in (0, 1):
+        got = interface_point_values(u, axis, signs, scheme)
+        again = interface_point_values(u, axis, signs, scheme)
+        assert got.flags.writeable
+        assert not np.shares_memory(got, u)
+        assert not np.shares_memory(got, again)
+        got += 1.0
+        _assert_same_bits(u, keep)
 
 
 def test_interface_point_values_guards():

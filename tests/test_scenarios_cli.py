@@ -228,6 +228,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "c")]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: step 1 (upwind, 48x48): courant number")
+    # the lockstep equivalence scenario names its failing step the same way
+    assert main(["run", "volume-2form-equivalence", "--res", "16", "--dt", "1.0",
+                 "--out", str(tmp_path / "e")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: step 1 (upwind, 16x16): courant number")
     # a time step or step count that is no step at all is a configuration
     # error, caught before any directory is made
     for dt in ("0", "-0.001", "inf", "nan"):
