@@ -64,30 +64,17 @@ def step(omega: Cochain, vel: StaggeredVelocity,
     return out
 
 
-def _step_at(k: int, advance, omega: Cochain, vel: StaggeredVelocity,
-             config: AdvectionConfig) -> Cochain:
-    """advance(omega, vel, config) as step k of a run.
-
-    A CourantError or NonFiniteValueError it raises is re-raised as the
-    same type, its message prefixed with the step index, scheme and grid
-    size. Callers pass the step function they look up, so a replaced
-    module-level step is the one that runs.
-    """
-    try:
-        return advance(omega, vel, config)
-    except (CourantError, NonFiniteValueError) as err:
-        grid = omega.grid
-        raise type(err)(f"step {k} ({config.scheme.value}, "
-                        f"{grid.nx}x{grid.ny}): {err}") from err
-
-
 def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
            observer: Optional[Callable[[int, Cochain], None]] = None) -> Cochain:
     """Run config.steps updates; the observer sees state 0 first.
 
     A grid too small for the scheme's stencil raises ValueError before
-    the observer is called. Errors raised by a step name the step, as
-    _step_at describes.
+    the observer is called. A CourantError or NonFiniteValueError raised
+    by step k is re-raised as the same type, its message prefixed with
+    the step, scheme and grid size: "step k (scheme, NXxNY): ...". Each
+    step calls the module-level step, so a replaced one is the one that
+    runs. This is the library's only step loop; the lockstep equivalence
+    scenario runs through it with an observer.
     """
     grid = omega.grid
     _require_extent(min(grid.nx, grid.ny), config.scheme)
@@ -95,7 +82,11 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
     if observer is not None:
         observer(0, state)
     for k in range(1, config.steps + 1):
-        state = _step_at(k, step, state, vel, config)
+        try:
+            state = step(state, vel, config)
+        except (CourantError, NonFiniteValueError) as err:
+            raise type(err)(f"step {k} ({config.scheme.value}, "
+                            f"{grid.nx}x{grid.ny}): {err}") from err
         if observer is not None:
             observer(k, state)
     return state

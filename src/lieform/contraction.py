@@ -91,12 +91,6 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     return Cochain.from_plane(grid, 0, node)
 
 
-def contract_0form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                   scheme: SchemeKind) -> Cochain:
-    """Degree drops below 0: the flagged empty result."""
-    return Cochain.empty(omega.grid, -1)
-
-
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
              scheme: SchemeKind = SchemeKind.UPWIND) -> ContractionResult:
     if vel.grid != omega.grid:
@@ -111,7 +105,7 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
     elif omega.degree == 1:
         out = contract_1form(omega, vel, dt, scheme)
     elif omega.degree == 0:
-        out = contract_0form(omega, vel, dt, scheme)
+        out = Cochain.empty(omega.grid, -1)     # degree drops below 0
     elif omega.degree == 3 and omega.is_empty:
         out = Cochain.zeros(omega.grid, 2)
     else:

@@ -60,11 +60,6 @@ class SchemeKind(enum.Enum):
     def stencil_width(self) -> int:
         return {SchemeKind.UPWIND: 1, SchemeKind.WENO5: 5, SchemeKind.WENO7: 7}[self]
 
-    @property
-    def half_width(self) -> int:
-        """Farthest one-sided cell reach from the interface."""
-        return {SchemeKind.UPWIND: 1, SchemeKind.WENO5: 3, SchemeKind.WENO7: 4}[self]
-
 
 @dataclass(frozen=True)
 class Stencil1D:

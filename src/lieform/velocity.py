@@ -97,10 +97,6 @@ class StaggeredVelocity:
         fx, fy = self.flux_x, self.flux_y
         return (shifted(fx, di=1) - fx) + (shifted(fy, dj=1) - fy)
 
-    def max_speed(self) -> float:
-        """Largest pointwise velocity magnitude estimate, flux / h."""
-        return float(self._peak_flux / self.grid.h)
-
 
 @dataclass(frozen=True)
 class ConstantVelocity:

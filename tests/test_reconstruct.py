@@ -31,8 +31,6 @@ def test_scheme_kind_lookup():
     assert SchemeKind.UPWIND.stencil_width == 1
     assert SchemeKind.WENO5.stencil_width == 5
     assert SchemeKind.WENO7.stencil_width == 7
-    assert SchemeKind.WENO5.half_width == 3
-    assert SchemeKind.WENO7.half_width == 4
 
 
 def test_stencil_guards():

@@ -7,6 +7,7 @@ from argparse import ArgumentTypeError
 import numpy as np
 import pytest
 
+import lieform.scenarios
 import reference
 from lieform.cli import _parse_res, main
 from lieform.forms import Cochain
@@ -27,7 +28,6 @@ ALL_SCENARIOS = (
 def test_scenario_registry():
     assert scenario_names() == ALL_SCENARIOS
     sq = builtin_scenario("square-translate")
-    assert sq.degree == 1
     assert sq.base_dt == 1e-3
     assert builtin_scenario("rudman-vortex").reverse
     with pytest.raises(ValueError):
@@ -36,21 +36,22 @@ def test_scenario_registry():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(name="x", degree=1, form="rect1", velocity="zero",
+        Scenario(name="x", form="rect1", velocity="zero",
                  resolutions=())
     with pytest.raises(ValueError):
-        Scenario(name="x", degree=1, form="rect1", velocity="zero",
+        Scenario(name="x", form="rect1", velocity="zero",
                  resolutions=(4,))
-    with pytest.raises(ValueError):
-        Scenario(name="x", degree=1, form="rect1", velocity="zero",
-                 resolutions=(8,), duration=0.0)
+    for bad_duration in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(8,), duration=bad_duration)
     for bad_dt in (0.0, -1e-3, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            Scenario(name="x", degree=1, form="rect1", velocity="zero",
+            Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), base_dt=bad_dt)
     for bad_steps in (0, -1):
         with pytest.raises(ValueError):
-            Scenario(name="x", degree=1, form="rect1", velocity="zero",
+            Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), steps=bad_steps)
     base = builtin_scenario("square-translate")
     with pytest.raises(ValueError):
@@ -140,6 +141,29 @@ def test_equivalence_scenario_reports_zero_gap(tmp_path):
         assert text == "steps 5\nmax_abs_diff 0.0\n"
 
 
+def test_equivalence_scenario_reports_a_gap(tmp_path, monkeypatch):
+    # The lockstep check must notice a flux-differencing step that differs.
+    honest = lieform.scenarios.split_fv_step
+    calls = []
+
+    def perturbed(rho, *args):
+        out = honest(rho, *args)
+        calls.append(1)
+        if len(calls) == 2:
+            out = Cochain(out.grid, 2, out.values + 1e-3)
+        return out
+
+    monkeypatch.setattr(lieform.scenarios, "split_fv_step", perturbed)
+    sc = apply_overrides(builtin_scenario("volume-2form-equivalence"),
+                         resolutions=(8,), steps=3, scheme="upwind")
+    run_scenario(sc, tmp_path)
+    lines = (tmp_path / "8_upwind" / "equivalence.txt").read_text().splitlines()
+    assert lines[0] == "steps 3"
+    assert lines[1].startswith("max_abs_diff ")
+    assert float(lines[1].split()[1]) > 0.0
+    assert len(calls) == 3
+
+
 def test_run_scenario_is_deterministic(tmp_path):
     sc = apply_overrides(builtin_scenario("square-translate"),
                          resolutions=(8,), steps=2)
@@ -157,7 +181,7 @@ def test_run_scenario_is_deterministic(tmp_path):
 
 
 def test_zero_velocity_scenario_is_exact(tmp_path):
-    sc = Scenario(name="still", degree=1, form="rect1", velocity="zero",
+    sc = Scenario(name="still", form="rect1", velocity="zero",
                   resolutions=(8,), schemes=(SchemeKind.UPWIND,))
     records = run_scenario(sc, tmp_path)
     assert len(records) == 1
@@ -242,6 +266,14 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "steps")]) == 2
     assert not (tmp_path / "dt").exists()
     assert not (tmp_path / "steps").exists()
+    # a step count too large to count is a configuration error too,
+    # raised before the first step
+    capsys.readouterr()
+    assert main(["run", "square-translate", "--dt", "1e-320",
+                 "--out", str(tmp_path / "tiny")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: time step 1e-320 ")
+    assert not list((tmp_path / "tiny").glob("*/field_*"))
     assert main(["slope", str(tmp_path / "missing.csv")]) == 4
     short = tmp_path / "short.csv"
     from lieform.output import write_error_table

@@ -20,7 +20,7 @@ def test_constant_velocity_fluxes():
     vel = discretize_velocity(ConstantVelocity(1.5, -0.75), g)
     assert np.all(vel.flux_x == 1.5 * 0.25)
     assert np.all(vel.flux_y == -0.75 * 0.25)
-    assert vel.max_speed() == 1.5
+    assert max_courant(vel, g.h) == 1.5     # peak flux / h
     assert np.all(vel.divergence() == 0.0)
 
 
@@ -66,7 +66,7 @@ def test_stream_function_divergence_free():
 def test_rudman_vortex_speed():
     g = build_complex(48, 48, 1.0 / 48)
     vel = discretize_velocity(rudman_vortex(), g)
-    assert 0.95 < vel.max_speed() <= 1.0
+    assert 0.95 < max_courant(vel, g.h) <= 1.0
 
 
 def test_average_to_node_frozen():
