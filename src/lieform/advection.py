@@ -6,7 +6,10 @@ Each step subtracts one assembled increment:
     omega_new = omega - increment
 
 The two pieces are added before the subtraction, so the increment is
-available to callers as a single cochain and the update is a plain axpy.
+available to callers as a single cochain and the update is an axpy.
+Every operator returns a fresh flat buffer that it filled in place, so
+the sum is written into the first piece and the axpy makes the step's
+only new state buffer.
 """
 
 from __future__ import annotations

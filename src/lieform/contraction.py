@@ -10,8 +10,16 @@ The piecewise-constant paths keep every product and sum in the exact
 order of the reference loop formulation, working directly on integral
 values. The WENO paths convert to 1-D averages (value / h), reconstruct
 an interface point value, then integrate: ((value * flux) * dt) / h,
-computed in place on the reconstruction's fresh output (a leading minus
-becomes a final *= -1.0, the same IEEE operation).
+computed in place (a leading minus becomes a final *= -1.0, the same
+IEEE operation).
+
+Each result is one fresh flat buffer: a 1-form's x and y components
+are its two halves, written directly, and a 0-form's plane is
+reshaped, not copied. The upwind products c * flux * w[up] are
+computed as w[up] *= c * flux on the freshly gathered values, and a
+sum of products times c as (sum) *= c; a swap of the two operands of
+one * or + is exact in IEEE arithmetic, so the bits are those of the
+written formulas.
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
@@ -22,6 +30,8 @@ guard) is computed once per velocity and reused by every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .forms import Cochain
 from .reconstruct import CourantError, SchemeKind, interface_point_values
@@ -34,12 +44,12 @@ class ContractionResult:
     dt: float
 
 
-def _integrate(r, flux, dt: float, h: float):
-    """((r * flux) * dt) / h, written into the fresh point values r."""
-    r *= flux
-    r *= dt
-    r /= h
-    return r
+def _integrate(r, flux, dt: float, h: float, out):
+    """((r * flux) * dt) / h, written into out (which may be r itself)."""
+    np.multiply(r, flux, out=out)
+    out *= dt
+    out /= h
+    return out
 
 
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
@@ -53,16 +63,27 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     w = omega.plane()
     if scheme is SchemeKind.UPWIND:
         up_x, up_y = vel._face_upwind
-        ex = (-(dt / grid.h ** 2)) * vel.flux_y * w.take(up_y)
-        ey = (dt / grid.h ** 2) * vel.flux_x * w.take(up_x)
+        out = Cochain(grid, 1, np.empty(2 * grid.size))
+        ex, ey = out.component("x"), out.component("y")
+        # mode="wrap" lets take fill out directly (the default "raise"
+        # buffers it); the cached indices are all in range.
+        w.take(up_y, out=ex, mode="wrap")
+        ex *= (-(dt / grid.h ** 2)) * vel.flux_y
+        w.take(up_x, out=ey, mode="wrap")
+        ey *= (dt / grid.h ** 2) * vel.flux_x
     else:
         u = w / grid.h
-        ex = _integrate(interface_point_values(u, 0, vel.flux_y, scheme),
-                        vel.flux_y, dt, grid.h)
+        ry = interface_point_values(u, 0, vel.flux_y, scheme)
+        rx = interface_point_values(u, 1, vel.flux_x, scheme)
+        # Allocated after the reconstructions' temporaries are freed, so
+        # the result does not leave them as a free heap top that glibc
+        # trims and the next step faults back in.
+        out = Cochain(grid, 1, np.empty(2 * grid.size))
+        ex, ey = out.component("x"), out.component("y")
+        _integrate(ry, vel.flux_y, dt, grid.h, ex)
         ex *= -1.0
-        ey = _integrate(interface_point_values(u, 1, vel.flux_x, scheme),
-                        vel.flux_x, dt, grid.h)
-    return Cochain.from_components(grid, ex, ey)
+        _integrate(rx, vel.flux_x, dt, grid.h, ey)
+    return out
 
 
 def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
@@ -80,15 +101,19 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if scheme is SchemeKind.UPWIND:
         sum_x, sum_y = vel._node_sums
         up_x, up_y = vel._node_upwind
-        node = dt / (2.0 * grid.h ** 2) * (sum_x * wx.take(up_x)
-                                           + sum_y * wy.take(up_y))
+        node = wx.take(up_x)
+        node *= sum_x
+        part = wy.take(up_y)
+        part *= sum_y
+        node += part
+        node *= dt / (2.0 * grid.h ** 2)
     else:
         avg_x, avg_y = average_to_node(vel)
-        node = _integrate(interface_point_values(wx / grid.h, 1, avg_x, scheme),
-                          avg_x, dt, grid.h)
-        node += _integrate(interface_point_values(wy / grid.h, 0, avg_y, scheme),
-                           avg_y, dt, grid.h)
-    return Cochain.from_plane(grid, 0, node)
+        node = interface_point_values(wx / grid.h, 1, avg_x, scheme)
+        _integrate(node, avg_x, dt, grid.h, node)
+        part = interface_point_values(wy / grid.h, 0, avg_y, scheme)
+        node += _integrate(part, avg_y, dt, grid.h, part)
+    return Cochain(grid, 0, node.ravel())
 
 
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,

@@ -4,9 +4,16 @@ The cell sum is evaluated in a pinned term order so downstream exactness
 tests can compare bit for bit against an explicit loop:
 
     (dw)[j, i] = wx[j, i] + wy[j, i+1] - wx[j+1, i] - wy[j, i]
+
+Each result is one fresh flat buffer, filled in place. Two rewrites of
+the written formulas are used, both exact in IEEE arithmetic: the first
+sum wx + s is computed as s += wx (addition commutes), and a difference
+a - b is computed as a -= b on a fresh a.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .forms import Cochain
 from .grid import shifted
@@ -17,14 +24,20 @@ def exterior_derivative(omega: Cochain) -> Cochain:
     grid = omega.grid
     if omega.degree == 0:
         f = omega.plane()
-        wx = shifted(f, di=1) - f
-        wy = shifted(f, dj=1) - f
-        return Cochain.from_components(grid, wx, wy)
+        out = Cochain(grid, 1, np.empty(2 * grid.size))
+        wx = shifted(f, di=1, out=out.component("x"))
+        wx -= f
+        wy = shifted(f, dj=1, out=out.component("y"))
+        wy -= f
+        return out
     if omega.degree == 1:
         wx = omega.component("x")
         wy = omega.component("y")
-        circ = wx + shifted(wy, di=1) - shifted(wx, dj=1) - wy
-        return Cochain.from_plane(grid, 2, circ)
+        circ = shifted(wy, di=1)
+        circ += wx
+        circ -= shifted(wx, dj=1)
+        circ -= wy
+        return Cochain(grid, 2, circ.ravel())
     if omega.degree == 2:
         return Cochain.empty(grid, 3)
     if omega.is_empty and omega.degree == -1:

@@ -233,9 +233,11 @@ def norm(omega: Cochain, p: int) -> float:
 
 
 def axpy(a: float, x: Cochain, y: Cochain) -> Cochain:
-    """a*x + y for cochains of identical grid and degree."""
+    """a*x + y for cochains of identical grid and degree, in a fresh buffer."""
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")
     if x.grid != y.grid:
         raise ValueError("grid mismatch")
-    return Cochain(x.grid, x.degree, a * x.values + y.values)
+    out = a * x.values
+    out += y.values
+    return Cochain(x.grid, x.degree, out)

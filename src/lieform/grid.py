@@ -111,16 +111,22 @@ def build_complex(nx: int, ny: int, h: float) -> GridComplex2D:
     return GridComplex2D(int(nx), int(ny), float(h))
 
 
-def shifted(plane: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
+def shifted(plane: np.ndarray, di: int = 0, dj: int = 0,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx].
 
     A copy made of up to four block slices; the blocks that wrap around
-    are skipped where a shift is a whole multiple of the extent.
+    are skipped where a shift is a whole multiple of the extent. As with
+    a numpy ufunc, out names the array to fill and return (a fresh one
+    when None); it must have the plane's shape and must not overlap it.
     """
     ny, nx = plane.shape
     dj %= ny
     di %= nx
-    out = np.empty_like(plane)
+    if out is None:
+        out = np.empty_like(plane)
+    elif out.shape != plane.shape or np.may_share_memory(out, plane):
+        raise ValueError("out must have the plane's shape and not overlap it")
     out[:ny - dj, :nx - di] = plane[dj:, di:]
     if di:
         out[:ny - dj, nx - di:] = plane[dj:, :di]

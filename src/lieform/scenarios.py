@@ -32,6 +32,10 @@ from .velocity import (ConstantVelocity, StaggeredVelocity, StreamFunctionVeloci
 
 DEFAULT_SCHEMES = (SchemeKind.UPWIND, SchemeKind.WENO7)
 
+# Largest per-leg step count a run may resolve to; beyond it a time step
+# is a configuration error, not a run that never ends.
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -62,8 +66,9 @@ class Scenario:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if self.base_dt is not None and not 0.0 < self.base_dt < np.inf:
             raise ValueError(f"time step must be positive and finite, got {self.base_dt!r}")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"step count must be at least 1, got {self.steps!r}")
+        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], "
+                             f"got {self.steps!r}")
 
 
 _BUILTINS = {
@@ -150,7 +155,10 @@ def _build_velocity(scenario: Scenario):
 def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
                    vel: StaggeredVelocity, h: float,
                    h0: float) -> tuple[float, int]:
-    """Per-leg (dt, steps). dt is nudged so steps * dt spans the duration."""
+    """Per-leg (dt, steps). dt is nudged so steps * dt spans the duration.
+
+    A step count above MAX_STEPS raises ValueError naming the time step.
+    """
     if scenario.steps is not None:
         if scenario.base_dt is not None:
             return scenario.base_dt * (h / h0), scenario.steps
@@ -169,6 +177,10 @@ def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"time step {raw!r} is too small: the step count over "
                          f"duration {scenario.duration!r} overflows") from None
+    if steps > MAX_STEPS:
+        raise ValueError(f"time step {raw!r} is too small: it needs {steps:.6g} "
+                         f"steps over duration {scenario.duration!r}, more "
+                         f"than the limit of {MAX_STEPS}")
     return scenario.duration / steps, steps
 
 
@@ -211,17 +223,27 @@ def _dump_steps(total: int, dumps: int) -> set:
 
 
 def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
-    """Execute every (resolution, scheme) pair and write all artifacts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute every (resolution, scheme) pair and write all artifacts.
+
+    The (dt, steps) of every pair are resolved before the first run
+    starts, so a bad time step at any resolution fails before any
+    directory is made.
+    """
     h0 = 1.0 / scenario.resolutions[0]
-    records = []
+    legs = []
     for n in scenario.resolutions:
         grid = build_complex(n, n, 1.0 / n)
         vel = discretize_velocity(_build_velocity(scenario), grid)
+        runs = [(scheme, *_resolve_steps(scenario, scheme, vel, grid.h, h0))
+                for scheme in scenario.schemes]
+        legs.append((grid, vel, runs))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records = []
+    for grid, vel, runs in legs:
+        n = grid.nx
         w0 = discretize(_build_form(scenario), grid)
-        for scheme in scenario.schemes:
-            dt, steps = _resolve_steps(scenario, scheme, vel, grid.h, h0)
+        for scheme, dt, steps in runs:
             total = 2 * steps if scenario.reverse else steps
             wanted = _dump_steps(total, scenario.dumps)
             cfg = AdvectionConfig(dt=dt, steps=steps, scheme=scheme)

@@ -36,9 +36,11 @@ def _upwind_index(signs: np.ndarray, di: int, dj: int) -> np.ndarray:
 
     Where signs >= 0.0 (so -0.0 counts as positive) the upwind entry is
     the one a step (-di, -dj) back; elsewhere it is the entry itself.
+    The index stays writable: ndarray.take copies a read-only index
+    array on every call.
     """
     own = np.arange(signs.size).reshape(signs.shape)
-    return _read_only(np.where(signs >= 0.0, shifted(own, di=-di, dj=-dj), own))
+    return np.where(signs >= 0.0, shifted(own, di=-di, dj=-dj), own)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,9 @@ import pytest
 
 import reference
 from lieform.advection import AdvectionConfig, advect, lie_increment, step
-from lieform.forms import Cochain, NonFiniteValueError
+from lieform.contraction import contract
+from lieform.derivative import exterior_derivative
+from lieform.forms import Cochain, NonFiniteValueError, axpy
 from lieform.grid import build_complex
 from lieform.reconstruct import CourantError, SchemeKind
 from lieform.scenarios import split_fv_step
@@ -89,6 +91,35 @@ def test_step_2form_matches_split_fv(scheme):
         w = step(w, vel, config)
         fv = split_fv_step(fv, vel, dt, scheme)
         assert np.array_equal(w.plane(), fv.plane())
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_operators_return_fresh_values(degree, scheme):
+    # The operators fill their results in place, so guard against a
+    # result that aliases an input, the velocity or another result.
+    rng = np.random.default_rng(257)
+    g, vel = _setup(rng, 9, 8)
+    values = rng.standard_normal(g.cell_count(degree))
+    values[:3] = (0.0, -0.0, 5e-324)
+    omega = Cochain(g, degree, values)
+    omega.values.flags.writeable = False
+    before = omega.values.tobytes()
+    config = AdvectionConfig(0.05, 1, scheme)
+    held = [omega.values, vel.flux_x, vel.flux_y, *vel._node_sums,
+            *vel._node_fluxes, *vel._face_upwind, *vel._node_upwind]
+    outs = []
+    for _ in range(2):
+        outs += [exterior_derivative(omega).values,
+                 contract(omega, vel, config.dt, scheme).cochain.values,
+                 lie_increment(omega, vel, config).values,
+                 step(omega, vel, config).values,
+                 axpy(-1.0, omega, omega).values]
+    for k, out in enumerate(outs):
+        assert out.flags.writeable
+        for other in held + outs[:k]:
+            assert not np.shares_memory(out, other)
+    assert omega.values.tobytes() == before
 
 
 def test_advect_observer_sequence():

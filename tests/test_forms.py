@@ -182,6 +182,23 @@ def test_axpy():
     y = Cochain(g, 0, np.ones(20))
     out = axpy(-2.0, x, y)
     assert np.array_equal(out.values, 1.0 - 2.0 * np.arange(20.0))
+    # Bit patterns of the written form a * x + y, so the sign of a zero
+    # counts: signed zeros, the smallest subnormals (0.5 * 5e-324 rounds
+    # to a signed zero) and pairs whose result overflows to infinity.
+    big = 1.7e308
+    pairs = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+             (5e-324, 0.0), (-5e-324, 0.0), (5e-324, -0.0), (-5e-324, -0.0),
+             (5e-324, 5e-324), (5e-324, -5e-324), (-5e-324, 5e-324),
+             (1.0, 1.0), (1.0, 2.0), (-3.0, 0.5), (0.1, 0.2),
+             (big, big), (-big, big), (big, -big), (-big, -big), (-0.0, 5e-324)]
+    xs = Cochain(g, 0, np.array([p[0] for p in pairs]))
+    ys = Cochain(g, 0, np.array([p[1] for p in pairs]))
+    with np.errstate(over="ignore"):
+        for a in (-1.0, -2.0, 0.5):
+            got = axpy(a, xs, ys).values
+            want = a * xs.values + ys.values
+            assert np.isinf(want).any()
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     with pytest.raises(ValueError):
         axpy(1.0, x, Cochain.zeros(g, 2))
     other = build_complex(5, 4, 0.5)

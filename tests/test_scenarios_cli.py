@@ -34,7 +34,7 @@ def test_scenario_registry():
         builtin_scenario("nope")
 
 
-def test_scenario_validation():
+def test_scenario_validation(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         Scenario(name="x", form="rect1", velocity="zero",
                  resolutions=())
@@ -49,7 +49,7 @@ def test_scenario_validation():
         with pytest.raises(ValueError):
             Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), base_dt=bad_dt)
-    for bad_steps in (0, -1):
+    for bad_steps in (0, -1, lieform.scenarios.MAX_STEPS + 1):
         with pytest.raises(ValueError):
             Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), steps=bad_steps)
@@ -58,6 +58,20 @@ def test_scenario_validation():
         apply_overrides(base, dt=0.0)
     with pytest.raises(ValueError):
         apply_overrides(base, steps=0)
+    # Only the finer leg exceeds the step limit (dt halves with h, so it
+    # needs about 1.3e7 steps against 6.7e6 at 8^2); it must fail before
+    # any run starts or any directory is made.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every leg was resolved")
+
+    monkeypatch.setattr(lieform.scenarios, "advect", no_run)
+    two = Scenario(name="x", form="rect1", velocity="constant",
+                   resolutions=(8, 16), base_dt=1.5e-7,
+                   schemes=(SchemeKind.UPWIND,))
+    with pytest.raises(ValueError, match=r"^time step 7\.5e-08 is too small: "
+                                         r"it needs 1\.33333e\+07 steps"):
+        run_scenario(two, tmp_path / "two")
+    assert not (tmp_path / "two").exists()
 
 
 def test_apply_overrides():
@@ -274,6 +288,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: time step 1e-320 ")
     assert not list((tmp_path / "tiny").glob("*/field_*"))
+    # a step count that can be counted but not run in any sensible time
+    # is refused the same way, not run until the process is killed
+    assert main(["run", "square-translate", "--res", "8", "--dt", "1e-300",
+                 "--out", str(tmp_path / "huge")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: time step 1e-300 is too small: "
+                          "it needs 1e+300 steps")
+    assert not (tmp_path / "huge").exists()
+    assert main(["run", "square-translate", "--res", "8", "--steps", "10000001",
+                 "--out", str(tmp_path / "many")]) == 2
+    assert not (tmp_path / "many").exists()
     assert main(["slope", str(tmp_path / "missing.csv")]) == 4
     short = tmp_path / "short.csv"
     from lieform.output import write_error_table
