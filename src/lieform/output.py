@@ -8,6 +8,7 @@ followed by one value per line in canonical index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +30,13 @@ class ErrorRecord:
     runtime_ms: float
 
     def __post_init__(self) -> None:
-        if self.l1 < 0.0 or self.l2 < 0.0:
-            raise ValueError("error norms must be non-negative")
+        for name in ("l1", "l2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} norm must be finite and non-negative, got "
+                    f"{value!r} (resolution {self.resolution}, scheme "
+                    f"{self.scheme.value})")
 
 
 def write_error_table(path, records) -> None:
@@ -51,12 +57,15 @@ def read_error_table(path) -> list[ErrorRecord]:
         parts = ln.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        records.append(ErrorRecord(
-            resolution=int(parts[0]),
-            scheme=SchemeKind.from_name(parts[1]),
-            l1=float(parts[2]),
-            l2=float(parts[3]),
-            runtime_ms=float(parts[4])))
+        try:
+            records.append(ErrorRecord(
+                resolution=int(parts[0]),
+                scheme=SchemeKind.from_name(parts[1]),
+                l1=float(parts[2]),
+                l2=float(parts[3]),
+                runtime_ms=float(parts[4])))
+        except ValueError as err:
+            raise ValueError(f"{path}: row {ln!r}: {err}") from None
     return records
 
 
@@ -78,10 +87,12 @@ def read_field(path) -> Cochain:
     try:
         degree = int(header["degree"])
         grid = build_complex(int(header["nx"]), int(header["ny"]), float(header["h"]))
+        values = np.array([float(ln) for ln in lines[4:] if ln.strip()])
+        return Cochain(grid, degree, values)
     except KeyError as missing:
         raise ValueError(f"{path}: header line {missing} missing") from None
-    values = np.array([float(ln) for ln in lines[4:] if ln.strip()])
-    return Cochain(grid, degree, values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,11 @@ def read_pgm(path) -> np.ndarray:
     parts = raw.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
-    nx, ny = (int(t) for t in parts[1].split())
     if parts[2] != b"255":
         raise ValueError(f"{path}: unexpected maxval {parts[2]!r}")
-    pixels = np.frombuffer(parts[3][:nx * ny], dtype=np.uint8).reshape(ny, nx)
+    try:
+        nx, ny = (int(t) for t in parts[1].split())
+        pixels = np.frombuffer(parts[3][:nx * ny], dtype=np.uint8).reshape(ny, nx)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return np.flipud(pixels).copy()

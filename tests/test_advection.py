@@ -94,12 +94,21 @@ def test_step_2form_matches_split_fv(scheme):
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
-@pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_operators_return_fresh_values(degree, scheme):
+@pytest.mark.parametrize("scheme,flux", [
+    pytest.param(s, f, id=str(s) if f == "mixed" else f"{f}-{s}")
+    for f in ("mixed", "positive", "negative") for s in SchemeKind])
+def test_operators_return_fresh_values(degree, scheme, flux):
     # The operators fill their results in place, so guard against a
-    # result that aliases an input, the velocity or another result.
+    # result that aliases an input, the velocity or another result. A
+    # one-signed flux reconstructs axis 1 on the transpose.
     rng = np.random.default_rng(257)
-    g, vel = _setup(rng, 9, 8)
+    if flux == "mixed":
+        g, vel = _setup(rng, 9, 8)
+    else:
+        g = build_complex(9, 8, 0.25)
+        s = 1.0 if flux == "positive" else -1.0
+        vel = StaggeredVelocity(g, np.full(g.shape, s * 0.1),
+                                np.full(g.shape, s * 0.06))
     values = rng.standard_normal(g.cell_count(degree))
     values[:3] = (0.0, -0.0, 5e-324)
     omega = Cochain(g, degree, values)

@@ -21,6 +21,22 @@ def _random_setup(rng, nx, ny, scale=1.0):
     return g, StaggeredVelocity(g, fx, fy)
 
 
+def _with_fluxes(schemes):
+    """(scheme, flux) cases; the mixed-sign ones keep the bare scheme id."""
+    return [pytest.param(s, f, id=str(s) if f == "mixed" else f"{f}-{s}")
+            for f in ("mixed", "positive", "negative") for s in schemes]
+
+
+def _flux_setup(rng, nx, ny, flux):
+    """Random mixed-sign fluxes, or constant ones of a single sign."""
+    if flux == "mixed":
+        return _random_setup(rng, nx, ny)
+    g = build_complex(nx, ny, H)
+    s = 1.0 if flux == "positive" else -1.0
+    return g, StaggeredVelocity(g, np.full(g.shape, s * 0.7 * H),
+                                np.full(g.shape, s * 0.4 * H))
+
+
 # Fluxes on the edge of the >= 0.0 upwind rule: both zeros, and
 # subnormals whose pairwise sums include +0.0 (a + -a), -0.0 (-0.0 +
 # -0.0) and tiny negatives that halve to -0.0 (5e-324 + -1e-323).
@@ -87,10 +103,11 @@ def test_contract_1form_upwind_matches_loop(nx, ny):
     assert seen == {"+0", "-0", "halves to -0"}
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
-def test_contract_2form_weno_composes_scalar_kernel(scheme):
+@pytest.mark.parametrize("scheme,flux",
+                         _with_fluxes([SchemeKind.WENO5, SchemeKind.WENO7]))
+def test_contract_2form_weno_composes_scalar_kernel(scheme, flux):
     rng = np.random.default_rng(107)
-    g, vel = _random_setup(rng, 9, 8)
+    g, vel = _flux_setup(rng, 9, 8, flux)
     w = rng.standard_normal(g.shape)
     dt = 0.3 * H
     got = contract(Cochain.from_plane(g, 2, w), vel, dt, scheme).cochain
@@ -113,10 +130,11 @@ def test_contract_2form_weno_composes_scalar_kernel(scheme):
             assert got.component("y")[j, i] == ((r * vel.flux_x[j, i]) * dt) / H
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
-def test_contract_1form_weno_composes_scalar_kernel(scheme):
+@pytest.mark.parametrize("scheme,flux",
+                         _with_fluxes([SchemeKind.WENO5, SchemeKind.WENO7]))
+def test_contract_1form_weno_composes_scalar_kernel(scheme, flux):
     rng = np.random.default_rng(109)
-    g, vel = _random_setup(rng, 8, 9)
+    g, vel = _flux_setup(rng, 8, 9, flux)
     wx = rng.standard_normal(g.shape)
     wy = rng.standard_normal(g.shape)
     dt = 0.3 * H

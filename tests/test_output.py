@@ -17,6 +17,12 @@ def test_error_record_guard():
         ErrorRecord(16, SchemeKind.UPWIND, -0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         ErrorRecord(16, SchemeKind.UPWIND, 0.1, -1e-30, 1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"l1 norm .* \(resolution 32, "
+                                             r"scheme weno7\)"):
+            ErrorRecord(32, SchemeKind.WENO7, bad, 0.1, 1.0)
+        with pytest.raises(ValueError, match="l2 norm"):
+            ErrorRecord(32, SchemeKind.WENO7, 0.1, bad, 1.0)
 
 
 def test_error_table_round_trip(tmp_path):
@@ -44,6 +50,13 @@ def test_error_table_rejects_bad_shapes(tmp_path):
     path.write_text(CSV_HEADER + "\n16,weno9,1,1,1\n")
     with pytest.raises(ValueError):
         read_error_table(path)
+    # a bad row names the file and the row
+    path.write_text(CSV_HEADER + "\n16,upwind,1,1,1\n32,upwind,nan,1,1\n")
+    with pytest.raises(ValueError, match=r"errors\.csv: row '32,upwind,nan,1,1'"):
+        read_error_table(path)
+    path.write_text(CSV_HEADER + "\n16,upwind,1,x,1\n")
+    with pytest.raises(ValueError, match=r"errors\.csv: row .*could not convert"):
+        read_error_table(path)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -67,6 +80,21 @@ def test_field_dump_truncated(tmp_path):
         read_field(path)
     path.write_text("nx 4\nny 4\nh 0.25\nwrong 1\n0.0\n")
     with pytest.raises(ValueError):
+        read_field(path)
+
+
+def test_field_dump_errors_name_the_file(tmp_path):
+    path = tmp_path / "field_000007.txt"
+    header = "degree 1\nnx 8\nny 8\nh 0.125\n"
+    path.write_text(header + "0.5\n")
+    with pytest.raises(ValueError, match=r"field_000007\.txt: degree-1 cochain "
+                                         r"needs 128 values, got 1"):
+        read_field(path)
+    path.write_text(header + "0.5\nabc\n")
+    with pytest.raises(ValueError, match=r"field_000007\.txt: could not convert"):
+        read_field(path)
+    path.write_text("degree 2\nnx 2\nny 8\nh 0.125\n")
+    with pytest.raises(ValueError, match=r"field_000007\.txt: grid must be"):
         read_field(path)
 
 
@@ -131,4 +159,11 @@ def test_read_pgm_rejects_other_formats(tmp_path):
         read_pgm(path)
     path.write_bytes(b"P5\n2 2\n127\n" + bytes(4))
     with pytest.raises(ValueError):
+        read_pgm(path)
+    # a truncated raster or a bad size line names the file
+    path.write_bytes(b"P5\n8 8\n255\n" + bytes(3))
+    with pytest.raises(ValueError, match=r"bad\.pgm: cannot reshape"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n8 x\n255\n" + bytes(64))
+    with pytest.raises(ValueError, match=r"bad\.pgm: invalid literal"):
         read_pgm(path)

@@ -266,17 +266,27 @@ def _planes_near_minimum(draw):
     across = draw(st.integers(1, 10))
     shape = (along, across) if axis == 0 else (across, along)
     u = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
-    signs = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
-        st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))))
+    zeros = st.sampled_from([0.0, -0.0])
+    elements = draw(st.sampled_from([
+        st.one_of(st.floats(0.0, 1.0), zeros),          # none negative
+        st.floats(-1.0, 0.0, exclude_max=True),         # all negative
+        st.one_of(st.floats(-1.0, 1.0), zeros),         # mixed
+    ]))
+    signs = draw(hnp.arrays(np.float64, shape, elements=elements))
     return scheme, axis, u, signs
 
 
 @settings(max_examples=60, deadline=None)
 @given(_planes_near_minimum())
 def test_interface_point_values_property(case):
+    # the same planes read along the other axis of the transpose must
+    # give the transposed result, whichever layout each call runs in
     scheme, axis, u, signs = case
     got = interface_point_values(u, axis, signs, scheme)
-    _assert_same_bits(got, _scalar_plane(u, axis, signs, scheme))
+    flipped = interface_point_values(u.T, 1 - axis, signs.T, scheme).T
+    want = _scalar_plane(u, axis, signs, scheme)
+    _assert_same_bits(got, want)
+    _assert_same_bits(flipped, want)
 
 
 # Window entries from the ranges where rounding order shows: exact zeros

@@ -304,6 +304,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     from lieform.output import write_error_table
     write_error_table(short, _table([8e-2, 4e-2], res=(16, 32)))
     assert main(["slope", str(short)]) == 2
+    # a table holding a norm that is no number at all is rejected, not fitted
+    nan_table = tmp_path / "nan.csv"
+    nan_table.write_text(CSV_HEADER + "\n" + "".join(
+        f"{n},weno7,nan,0.1,1.0\n" for n in (16, 32, 64)))
+    capsys.readouterr()
+    assert main(["slope", str(nan_table)]) == 2
+    captured = capsys.readouterr()
+    assert "weno7 l1" not in captured.out
+    assert captured.err.startswith(
+        f"configuration error: {nan_table}: row '16,weno7,nan,0.1,1.0': "
+        "l1 norm must be finite and non-negative, got nan")
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     assert main(["run", "square-translate", "--res", "8", "--steps", "1",
