@@ -23,8 +23,12 @@ written formulas.
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
-the flat index of each upwind entry, the peak flux behind the Courant
-guard) is computed once per velocity and reused by every step.
+how each upwind entry is read, the peak flux behind the Courant guard)
+is computed once per velocity and reused by every step. The upwind
+paths read through _upwind: a direction whose flux has one sign reads
+the same neighbour at every face, a periodic shift copied by
+grid.shifted; a mixed-sign direction gathers through its flat index.
+Both copy the same values, so the bits do not depend on the read.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Cochain
+from .grid import shifted
 from .reconstruct import CourantError, SchemeKind, interface_point_values
 from .velocity import StaggeredVelocity, average_to_node, max_courant
 
@@ -52,12 +57,26 @@ def _integrate(r, flux, dt: float, h: float, out):
     return out
 
 
+def _upwind(plane, read, out=None):
+    """The upwind entry of every interface, as the velocity reads it.
+
+    read is a periodic shift (di, dj) or a flat gather index; out is
+    filled and returned (a fresh array when None).
+    """
+    if isinstance(read, tuple):
+        return shifted(plane, *read, out=out)
+    # mode="wrap" lets take fill out directly (the default "raise"
+    # buffers it); the cached indices are all in range.
+    return plane.take(read, out=out, mode="wrap")
+
+
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                    scheme: SchemeKind) -> Cochain:
     """Transport swept through each edge, as a 1-form.
 
-    The upwind path gathers each face's upwind cell through the flat
-    indices the velocity fixes on first use.
+    The upwind path reads each face's upwind cell as the velocity
+    fixes on first use: a shift where the flux has one sign, a gather
+    where it is mixed.
     """
     grid = omega.grid
     w = omega.plane()
@@ -65,11 +84,9 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
         up_x, up_y = vel._face_upwind
         out = Cochain(grid, 1, np.empty(2 * grid.size))
         ex, ey = out.component("x"), out.component("y")
-        # mode="wrap" lets take fill out directly (the default "raise"
-        # buffers it); the cached indices are all in range.
-        w.take(up_y, out=ex, mode="wrap")
+        _upwind(w, up_y, ex)
         ex *= (-(dt / grid.h ** 2)) * vel.flux_y
-        w.take(up_x, out=ey, mode="wrap")
+        _upwind(w, up_x, ey)
         ey *= (dt / grid.h ** 2) * vel.flux_x
     else:
         u = w / grid.h
@@ -93,7 +110,9 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     Fluxes are averaged onto the vertex lattice (two-point transverse
     means); the upwind edge flips with the averaged flux sign. The
     upwind path reads that sign from the unhalved sums, which the
-    velocity computes once, as it does the upwind edge of every vertex.
+    velocity computes once, as it fixes how the upwind edge of every
+    vertex is read: a shift where the sums have one sign, a gather
+    where they are mixed.
     """
     grid = omega.grid
     wx = omega.component("x")
@@ -101,10 +120,13 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if scheme is SchemeKind.UPWIND:
         sum_x, sum_y = vel._node_sums
         up_x, up_y = vel._node_upwind
-        node = wx.take(up_x)
-        node *= sum_x
-        part = wy.take(up_y)
+        # The transient y term is read before the result, so its free
+        # leaves a hole below the result, not a free heap top that glibc
+        # trims and the next step faults back in.
+        part = _upwind(wy, up_y)
         part *= sum_y
+        node = _upwind(wx, up_x)
+        node *= sum_x
         node += part
         node *= dt / (2.0 * grid.h ** 2)
     else:

@@ -115,9 +115,10 @@ def shifted(plane: np.ndarray, di: int = 0, dj: int = 0,
             out: np.ndarray | None = None) -> np.ndarray:
     """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx].
 
-    A copy made of up to four block slices; the blocks that wrap around
-    are skipped where a shift is a whole multiple of the extent. As with
-    a numpy ufunc, out names the array to fill and return (a fresh one
+    A shift along one axis (or none, after whole multiples of the extent
+    are dropped) is one np.concatenate of the plane's two blocks along
+    that axis; a diagonal shift copies four block slices. As with a
+    numpy ufunc, out names the array to fill and return (a fresh one
     when None); it must have the plane's shape and must not overlap it.
     """
     ny, nx = plane.shape
@@ -127,13 +128,14 @@ def shifted(plane: np.ndarray, di: int = 0, dj: int = 0,
         out = np.empty_like(plane)
     elif out.shape != plane.shape or np.may_share_memory(out, plane):
         raise ValueError("out must have the plane's shape and not overlap it")
+    if not di:
+        return np.concatenate((plane[dj:], plane[:dj]), axis=0, out=out)
+    if not dj:
+        return np.concatenate((plane[:, di:], plane[:, :di]), axis=1, out=out)
     out[:ny - dj, :nx - di] = plane[dj:, di:]
-    if di:
-        out[:ny - dj, nx - di:] = plane[dj:, :di]
-    if dj:
-        out[ny - dj:, :nx - di] = plane[:dj, di:]
-        if di:
-            out[ny - dj:, nx - di:] = plane[:dj, :di]
+    out[:ny - dj, nx - di:] = plane[dj:, :di]
+    out[ny - dj:, :nx - di] = plane[:dj, di:]
+    out[ny - dj:, nx - di:] = plane[:dj, :di]
     return out
 
 

@@ -12,7 +12,10 @@ A StaggeredVelocity is immutable: it holds read-only copies of its flux
 arrays, so everything derived from them (the peak flux behind the
 Courant number, the node-averaged fluxes and the upwind side of every
 face and node) is computed once per velocity, on first use, and reused
-by every later step.
+by every later step. Each of the four upwind selections (x and y faces,
+x and y nodes) is decided once: a direction whose signs all agree reads
+its upwind entries as one periodic shift and holds no index plane; only
+a mixed-sign direction keeps a flat gather index.
 """
 
 from __future__ import annotations
@@ -31,16 +34,25 @@ def _read_only(plane: np.ndarray) -> np.ndarray:
     return plane
 
 
-def _upwind_index(signs: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Flat index of the upwind entry at each interface of a plane.
+def _upwind_read(signs: np.ndarray, di: int,
+                 dj: int) -> tuple[int, int] | np.ndarray:
+    """How each interface of a plane reads its upwind entry.
 
     Where signs >= 0.0 (so -0.0 counts as positive) the upwind entry is
     the one a step (-di, -dj) back; elsewhere it is the entry itself.
-    The index stays writable: ndarray.take copies a read-only index
-    array on every call.
+    When every sign agrees, that entry is the same neighbour at every
+    interface, and the read is the periodic shift (-di, -dj) or (0, 0)
+    for grid.shifted. Otherwise it is the flat index of each upwind
+    entry, for ndarray.take. The index stays writable: take copies a
+    read-only index array on every call.
     """
+    up = signs >= 0.0
+    if up.all():
+        return (-di, -dj)
+    if not up.any():
+        return (0, 0)
     own = np.arange(signs.size).reshape(signs.shape)
-    return np.where(signs >= 0.0, shifted(own, di=-di, dj=-dj), own)
+    return np.where(up, shifted(own, di=-di, dj=-dj), own)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +87,20 @@ class StaggeredVelocity:
         return tuple(_read_only(s / 2.0) for s in self._node_sums)
 
     @cached_property
-    def _face_upwind(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upwind cells of the x and y faces of a cell plane, by flux sign."""
-        return (_upwind_index(self.flux_x, 1, 0),
-                _upwind_index(self.flux_y, 0, 1))
+    def _face_upwind(self) -> tuple:
+        """Upwind reads of the x and y faces of a cell plane, by flux sign."""
+        return (_upwind_read(self.flux_x, 1, 0),
+                _upwind_read(self.flux_y, 0, 1))
 
     @cached_property
-    def _node_upwind(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upwind x and y edges of each vertex, by the sign of the sums.
+    def _node_upwind(self) -> tuple:
+        """Upwind reads of the x and y edges of each vertex, by sum sign.
 
         The sums are unhalved: halving a tiny negative sum can round to
         -0.0, which would flip its >= 0 test.
         """
         sum_x, sum_y = self._node_sums
-        return _upwind_index(sum_x, 1, 0), _upwind_index(sum_y, 0, 1)
+        return _upwind_read(sum_x, 1, 0), _upwind_read(sum_y, 0, 1)
 
     def divergence(self) -> np.ndarray:
         """Net outflow per cell; identically ~0 for admissible fields.

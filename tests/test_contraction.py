@@ -50,6 +50,49 @@ def _sign_edge_setup(rng, nx, ny):
                                 rng.choice(SIGN_EDGES, g.shape))
 
 
+def _one_signed_setups(rng, nx, ny):
+    """Velocities whose upwind reads shift in some directions, by name.
+
+    Each comes with the read kind it must give for the x and y faces
+    and the x and y node sums. A direction whose faces have one sign
+    also has node sums of that sign, so faces that shift beside sums
+    that gather occur across directions (x one-signed, y mixed); the
+    reverse, mixed faces under one-signed sums, occurs per direction.
+    """
+    g = build_complex(nx, ny, H)
+
+    def full(value):
+        return np.full(g.shape, value)
+
+    def mixed():
+        return rng.uniform(-1.0, 1.0, g.shape) * H
+
+    # One negative row (x) or column (y) between positive ones: mixed
+    # faces whose two-point sums are all positive.
+    fx, fy = full(0.3 * H), full(0.3 * H)
+    fx[0, :] = -0.1 * H
+    fy[:, 0] = -0.1 * H
+    zeros_and_positive = np.array([0.0, -0.0, 0.3 * H])
+    shift, gather = "shift", "gather"
+    return g, [
+        ("positive", full(0.7 * H), full(0.4 * H), (shift,) * 4),
+        ("negative", full(-0.7 * H), full(-0.4 * H), (shift,) * 4),
+        ("zeros and positive", rng.choice(zeros_and_positive, g.shape),
+         rng.choice(zeros_and_positive, g.shape), (shift,) * 4),
+        ("all -0.0", full(-0.0), full(-0.0), (shift,) * 4),
+        ("x one-signed, y mixed", full(0.5 * H), mixed(),
+         (shift, gather, shift, gather)),
+        ("faces mixed, sums one-signed", fx, fy,
+         (gather, gather, shift, shift)),
+    ]
+
+
+def _read_kinds(vel):
+    """'shift' or 'gather' for the x/y face and x/y node upwind reads."""
+    return tuple("shift" if isinstance(read, tuple) else "gather"
+                 for read in (*vel._face_upwind, *vel._node_upwind))
+
+
 def _same_bits(got, want):
     """Equal as IEEE bit patterns, so the sign of a zero counts too."""
     return (np.ascontiguousarray(got).tobytes()
@@ -80,6 +123,16 @@ def test_contract_2form_upwind_matches_loop(nx, ny):
         for flux in (vel.flux_x, vel.flux_y):
             seen.update(kind for kind, hit in _zero_kinds(flux).items() if hit)
     assert seen == {"+0", "-0", "halves to -0"}
+    g, setups = _one_signed_setups(rng, nx, ny)
+    for name, fx, fy, kinds in setups:
+        vel = StaggeredVelocity(g, fx, fy)
+        assert _read_kinds(vel) == kinds, name
+        w = rng.standard_normal(g.shape)
+        got = contract(Cochain.from_plane(g, 2, w), vel, dt).cochain
+        ex, ey = reference.transport_2form_loop(
+            w.tolist(), fx.tolist(), fy.tolist(), dt, H)
+        assert _same_bits(got.component("x"), ex), name
+        assert _same_bits(got.component("y"), ey), name
 
 
 @pytest.mark.parametrize("nx,ny", [(5, 4), (8, 8), (9, 8)])
@@ -101,6 +154,16 @@ def test_contract_1form_upwind_matches_loop(nx, ny):
         for s in sums:
             seen.update(kind for kind, hit in _zero_kinds(s).items() if hit)
     assert seen == {"+0", "-0", "halves to -0"}
+    g, setups = _one_signed_setups(rng, nx, ny)
+    for name, fx, fy, kinds in setups:
+        vel = StaggeredVelocity(g, fx, fy)
+        assert _read_kinds(vel) == kinds, name
+        wx = rng.standard_normal(g.shape)
+        wy = rng.standard_normal(g.shape)
+        got = contract(Cochain.from_components(g, wx, wy), vel, dt).cochain
+        node = reference.transport_1form_loop(
+            wx.tolist(), wy.tolist(), fx.tolist(), fy.tolist(), dt, H)
+        assert _same_bits(got.plane(), node), name
 
 
 @pytest.mark.parametrize("scheme,flux",

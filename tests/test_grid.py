@@ -91,6 +91,44 @@ def test_shifted_semantics():
     assert frozen[0, 0] == p[0, 0]
 
 
+# single-axis, diagonal, negative, whole multiples of the extent, zero
+_SHIFTS = ((1, 0), (0, 1), (-1, 0), (0, -1), (3, 0), (0, -3), (5, 0),
+           (0, 4), (-10, 0), (0, -8), (2, 3), (-1, -1), (6, -5), (-5, 8),
+           (4, 3), (0, 0))
+
+
+def test_shifted_matches_roll_bitwise():
+    rng = np.random.default_rng(13)
+    p = rng.standard_normal((4, 5))
+    p[0, :3] = (0.0, -0.0, np.nan)
+    # float with both zeros and a nan, integer, and a strided view
+    for plane in (p, np.arange(20).reshape(4, 5), p.T):
+        for di, dj in _SHIFTS:
+            want = np.roll(plane, (-dj, -di), axis=(0, 1))
+            got = shifted(plane, di=di, dj=dj)
+            assert got.dtype == plane.dtype
+            assert got.tobytes() == want.tobytes()
+            buf = np.full(2 * plane.size + 3, 7, dtype=plane.dtype)
+            out = buf[3:3 + plane.size].reshape(plane.shape)
+            assert shifted(plane, di, dj, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            assert (buf[:3] == 7).all() and (buf[3 + plane.size:] == 7).all()
+
+
+def test_shifted_out_guards():
+    buf = np.arange(40.0)
+    p = buf[:20].reshape(4, 5)
+    for bad in (np.empty((5, 4)), np.empty((4, 6)), np.empty(20),
+                p, buf[10:30].reshape(4, 5), p[:, ::-1]):
+        for di, dj in ((1, 0), (0, 1), (1, 1), (0, 0)):
+            with pytest.raises(ValueError, match="out must have the plane's "
+                                                 "shape and not overlap it"):
+                shifted(p, di, dj, out=bad)
+    # a neighbouring block of the same buffer is fine
+    assert shifted(p, 1, 0, out=buf[20:].reshape(4, 5)).base is buf
+    assert np.array_equal(buf[20:].reshape(4, 5), np.roll(p, -1, axis=1))
+
+
 def test_node_coords():
     g = build_complex(5, 4, 0.5)
     X, Y = g.node_coords()

@@ -7,6 +7,7 @@ and bit for bit against the written-form kernel kept there.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -385,6 +386,25 @@ def test_interface_point_values_guards():
                                SchemeKind.WENO5)
     with pytest.raises(ValueError):
         interface_point_values(u, 2, signs, SchemeKind.UPWIND)
+
+
+@pytest.mark.parametrize("signs", [
+    np.ones((9, 8)),                            # one-signed
+    -np.ones((9, 8)),
+    np.where(np.arange(72).reshape(9, 8) % 3, 1.0, -1.0),   # mixed
+    np.ones((1, 9)),                            # broadcastable
+    -np.ones(9),
+    np.where(np.arange(9) % 2, 1.0, -1.0),
+    np.array(1.0),
+], ids=["positive", "negative", "mixed", "row", "negative-1d", "mixed-1d",
+        "scalar"])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_interface_point_values_rejects_signs_shape(signs, scheme):
+    u = np.zeros((8, 9))
+    shape = re.escape(f"signs shape {signs.shape} != plane shape (8, 9)")
+    for axis in (0, 1):
+        with pytest.raises(ValueError, match=f"^{shape}$"):
+            interface_point_values(u, axis, signs, scheme)
 
 
 def test_width_guards_on_public_entry_points():
