@@ -25,10 +25,11 @@ A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
 how each upwind entry is read, the peak flux behind the Courant guard)
 is computed once per velocity and reused by every step. The upwind
-paths read through _upwind: a direction whose flux has one sign reads
-the same neighbour at every face, a periodic shift copied by
-grid.shifted; a mixed-sign direction gathers through its flat index.
-Both copy the same values, so the bits do not depend on the read.
+paths read through _upwind: a direction with no negative flux reads
+the same neighbour at every face, a periodic shift copied by one
+np.concatenate of two blocks; any other direction gathers through its
+flat index. Both copy the same values, so the bits do not depend on
+the read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Cochain
-from .grid import shifted
 from .reconstruct import CourantError, SchemeKind, interface_point_values
 from .velocity import StaggeredVelocity, average_to_node, max_courant
 
@@ -60,11 +60,15 @@ def _integrate(r, flux, dt: float, h: float, out):
 def _upwind(plane, read, out=None):
     """The upwind entry of every interface, as the velocity reads it.
 
-    read is a periodic shift (di, dj) or a flat gather index; out is
-    filled and returned (a fresh array when None).
+    read is a periodic shift (axis, k), which joins the plane's blocks
+    [k:] and [:k] along axis, or a flat gather index; out is filled and
+    returned (a fresh array when None).
     """
     if isinstance(read, tuple):
-        return shifted(plane, *read, out=out)
+        axis, k = read
+        if axis == 0:
+            return np.concatenate((plane[k:], plane[:k]), out=out)
+        return np.concatenate((plane[:, k:], plane[:, :k]), axis=1, out=out)
     # mode="wrap" lets take fill out directly (the default "raise"
     # buffers it); the cached indices are all in range.
     return plane.take(read, out=out, mode="wrap")
@@ -75,8 +79,8 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     """Transport swept through each edge, as a 1-form.
 
     The upwind path reads each face's upwind cell as the velocity
-    fixes on first use: a shift where the flux has one sign, a gather
-    where it is mixed.
+    fixes on first use: a shift where no flux is negative, a gather
+    elsewhere.
     """
     grid = omega.grid
     w = omega.plane()
@@ -111,8 +115,8 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     means); the upwind edge flips with the averaged flux sign. The
     upwind path reads that sign from the unhalved sums, which the
     velocity computes once, as it fixes how the upwind edge of every
-    vertex is read: a shift where the sums have one sign, a gather
-    where they are mixed.
+    vertex is read: a shift where no sum is negative, a gather
+    elsewhere.
     """
     grid = omega.grid
     wx = omega.component("x")
@@ -120,13 +124,10 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if scheme is SchemeKind.UPWIND:
         sum_x, sum_y = vel._node_sums
         up_x, up_y = vel._node_upwind
-        # The transient y term is read before the result, so its free
-        # leaves a hole below the result, not a free heap top that glibc
-        # trims and the next step faults back in.
-        part = _upwind(wy, up_y)
-        part *= sum_y
         node = _upwind(wx, up_x)
         node *= sum_x
+        part = _upwind(wy, up_y)
+        part *= sum_y
         node += part
         node *= dt / (2.0 * grid.h ** 2)
     else:

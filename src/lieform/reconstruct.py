@@ -8,9 +8,9 @@ lower index uses the mirrored window, which callers build by reversing
 the read direction. The plane path reconstructs every interface of a
 plane in one kernel pass: the width + 1 wrapped shifts of the plane hold
 both upwind windows, and each interface picks its window from them by
-its own flow sign. A plane whose flow along axis 1 has one sign (no
-negative sign, or no other) is reconstructed on its transpose along
-axis 0, so every shift is a contiguous block of rows.
+its own flow sign. A plane whose flow has no negative sign along axis 1
+is reconstructed on its transpose along axis 0, so every shift is a
+contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
 instead of powers) so the scalar kernel and the vectorized plane path
@@ -267,11 +267,9 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     interface k, where c = (width - 1) // 2. The positive window is
     shifts 0..width-1 and the negative window is shifts width..1; each
     interface selects its window by its sign before the single kernel
-    pass. When every sign agrees, the window is the positive or the
-    mirrored shifts themselves (shift width - m as entry m), with no
-    selection.
+    pass.
 
-    When the signs agree, an axis-1 call reconstructs the transpose
+    When no sign is negative, an axis-1 call reconstructs the transpose
     along axis 0 and returns the transposed result: each shift is then a
     contiguous block of rows, not a strided column window, and the
     elementwise kernel gives the same bits in either layout. The
@@ -289,20 +287,16 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     _require_extent(n, scheme)
     c = (width - 1) // 2
     neg = signs < 0
-    any_neg = neg.any()
-    all_neg = any_neg and neg.all()
-    transposed = (all_neg or not any_neg) and axis == 1
+    one_signed = not neg.any()
+    transposed = one_signed and axis == 1
     if transposed:
         u, axis = u.T, 0
     padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap")
     shifts = [padded[s:s + n] if axis == 0 else padded[:, s:s + n]
               for s in range(width + 1)]
-    if not any_neg:
-        window = shifts[:width]
-    elif all_neg:
-        window = shifts[width:0:-1]
-    else:
-        window = [np.where(neg, shifts[width - m], shifts[m])
-                  for m in range(width)]
-    r = _left_biased(scheme, window)
-    return r.T if transposed else r
+    if one_signed:
+        r = _left_biased(scheme, shifts[:width])
+        return r.T if transposed else r
+    window = [np.where(neg, shifts[width - m], shifts[m])
+              for m in range(width)]
+    return _left_biased(scheme, window)

@@ -13,9 +13,9 @@ arrays, so everything derived from them (the peak flux behind the
 Courant number, the node-averaged fluxes and the upwind side of every
 face and node) is computed once per velocity, on first use, and reused
 by every later step. Each of the four upwind selections (x and y faces,
-x and y nodes) is decided once: a direction whose signs all agree reads
-its upwind entries as one periodic shift and holds no index plane; only
-a mixed-sign direction keeps a flat gather index.
+x and y nodes) is decided once: a direction with no negative sign reads
+its upwind entries as one periodic shift and holds no index plane; any
+other direction keeps a flat gather index.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ def _upwind_read(signs: np.ndarray, di: int,
 
     Where signs >= 0.0 (so -0.0 counts as positive) the upwind entry is
     the one a step (-di, -dj) back; elsewhere it is the entry itself.
-    When every sign agrees, that entry is the same neighbour at every
-    interface, and the read is the periodic shift (-di, -dj) or (0, 0)
-    for grid.shifted. Otherwise it is the flat index of each upwind
-    entry, for ndarray.take. The index stays writable: take copies a
-    read-only index array on every call.
+    When no sign is negative, that entry is the same neighbour at every
+    interface, a periodic shift back by one along the step's axis. The
+    read is then (axis, k): the upwind plane joins the plane's blocks
+    [k:] and [:k] along axis, with k = extent - 1. Otherwise it is the
+    flat index of each upwind entry, for ndarray.take. The index stays
+    writable: take copies a read-only index array on every call.
     """
     up = signs >= 0.0
     if up.all():
-        return (-di, -dj)
-    if not up.any():
-        return (0, 0)
+        axis = 1 if di else 0
+        return axis, signs.shape[axis] - 1
     own = np.arange(signs.size).reshape(signs.shape)
     return np.where(up, shifted(own, di=-di, dj=-dj), own)
 

@@ -54,10 +54,12 @@ def _one_signed_setups(rng, nx, ny):
     """Velocities whose upwind reads shift in some directions, by name.
 
     Each comes with the read kind it must give for the x and y faces
-    and the x and y node sums. A direction whose faces have one sign
-    also has node sums of that sign, so faces that shift beside sums
-    that gather occur across directions (x one-signed, y mixed); the
-    reverse, mixed faces under one-signed sums, occurs per direction.
+    and the x and y node sums: a shift where no sign is negative (so
+    -0.0 counts as positive), a gather elsewhere. A direction whose
+    faces have one sign also has node sums of that sign, so faces that
+    shift beside sums that gather occur across directions (x one-signed,
+    y mixed); the reverse, mixed faces under one-signed sums, occurs per
+    direction.
     """
     g = build_complex(nx, ny, H)
 
@@ -75,8 +77,10 @@ def _one_signed_setups(rng, nx, ny):
     zeros_and_positive = np.array([0.0, -0.0, 0.3 * H])
     shift, gather = "shift", "gather"
     return g, [
-        ("positive", full(0.7 * H), full(0.4 * H), (shift,) * 4),
-        ("negative", full(-0.7 * H), full(-0.4 * H), (shift,) * 4),
+        ("constant positive", full(0.7 * H), full(0.4 * H), (shift,) * 4),
+        ("constant negative", full(-0.7 * H), full(-0.4 * H), (gather,) * 4),
+        ("constant, y negative", full(0.5 * H), full(-0.25 * H),
+         (shift, gather, shift, gather)),
         ("zeros and positive", rng.choice(zeros_and_positive, g.shape),
          rng.choice(zeros_and_positive, g.shape), (shift,) * 4),
         ("all -0.0", full(-0.0), full(-0.0), (shift,) * 4),
@@ -89,8 +93,16 @@ def _one_signed_setups(rng, nx, ny):
 
 def _read_kinds(vel):
     """'shift' or 'gather' for the x/y face and x/y node upwind reads."""
-    return tuple("shift" if isinstance(read, tuple) else "gather"
-                 for read in (*vel._face_upwind, *vel._node_upwind))
+    kinds = []
+    for read in (*vel._face_upwind, *vel._node_upwind):
+        if isinstance(read, tuple):
+            kinds.append("shift")
+            continue
+        assert read.shape == vel.grid.shape and read.dtype == np.intp
+        # ndarray.take would copy a read-only index on every call
+        assert read.flags.writeable
+        kinds.append("gather")
+    return tuple(kinds)
 
 
 def _same_bits(got, want):

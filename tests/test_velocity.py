@@ -151,30 +151,3 @@ def test_reused_velocity_matches_fresh_objects():
                 assert got.tobytes() == want.tobytes()
             assert (max_courant(shared, dt)
                     == max_courant(StaggeredVelocity(g, fx, fy), dt))
-
-
-@pytest.mark.parametrize("vx,vy,want", [
-    (1.5, 0.75, ((-1, 0), (0, -1), (-1, 0), (0, -1))),
-    (-1.5, -0.75, ((0, 0),) * 4),
-    (1.0, -0.5, ((-1, 0), (0, 0), (-1, 0), (0, 0))),
-    (0.0, -0.0, ((-1, 0), (0, -1), (-1, 0), (0, -1))),
-])
-def test_constant_velocity_caches_no_gather_index(vx, vy, want):
-    # One sign per direction: every upwind entry is the same neighbour,
-    # read as a periodic shift back along the axis (signs >= 0.0, which
-    # takes in -0.0) or as the entry itself (signs < 0.0).
-    g = build_complex(9, 8, 0.25)
-    vel = discretize_velocity(ConstantVelocity(vx, vy), g)
-    assert (*vel._face_upwind, *vel._node_upwind) == want
-
-
-def test_mixed_velocity_gathers_through_writable_indices():
-    g = build_complex(9, 8, 0.25)
-    rng = np.random.default_rng(23)
-    vel = StaggeredVelocity(g, rng.uniform(-0.1, 0.1, g.shape),
-                            rng.uniform(-0.1, 0.1, g.shape))
-    for read in (*vel._face_upwind, *vel._node_upwind):
-        assert isinstance(read, np.ndarray)
-        assert read.shape == g.shape and read.dtype.kind == "i"
-        # ndarray.take would copy a read-only index on every call
-        assert read.flags.writeable
