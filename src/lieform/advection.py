@@ -6,10 +6,25 @@ Each step subtracts one assembled increment:
     omega_new = omega - increment
 
 The two pieces are added before the subtraction, so the increment is
-available to callers as a single cochain and the update is an axpy.
-Every operator returns a fresh flat buffer that it filled in place, so
-the sum is written into the first piece and the axpy makes the step's
-only new state buffer.
+available to callers as a single cochain; the update is the axpy
+(-1) * increment + omega.
+
+Each advect call makes one workspace, a dict, and owns it: step passes
+it down through lie_increment to exterior_derivative and contract, and
+forms.scratch hands out its buffers. Only that call uses it, one
+operator at a time, so two advect calls (in one thread or in two) never
+share a buffer. It holds the plane-sized buffers that die within a
+step: d's result and its shifted plane, and the upwind contraction's
+0-form and its c * flux and second-term planes; a 1-form step needs
+four planes of it. Nothing that step returns lives in it. Called
+without a workspace, every operator returns fresh buffers.
+
+Of the two pieces one is always fresh: for a 0-form the second, the
+zero form d makes of the empty contraction; otherwise the first. The
+sum goes into it, and step writes the update into the increment in
+place. So an upwind step of a 0- or 1-form allocates one buffer, the
+new state; a 2-form step also allocates contraction's 1-form, and a
+WENO step the reconstructions' temporaries.
 """
 
 from __future__ import annotations
@@ -19,7 +34,9 @@ from typing import Callable, Optional
 
 from .contraction import contract
 from .derivative import exterior_derivative
-from .forms import Cochain, NonFiniteValueError, _check_finite, axpy
+from .forms import Cochain, NonFiniteValueError, _check_finite
+# Unused here, but perfbench wraps lieform.advection.axpy.
+from .forms import axpy  # noqa: F401
 from .reconstruct import CourantError, SchemeKind, _require_extent
 from .velocity import StaggeredVelocity, max_courant
 
@@ -44,26 +61,36 @@ class AdvectionConfig:
 
 
 def lie_increment(omega: Cochain, vel: StaggeredVelocity,
-                  config: AdvectionConfig) -> Cochain:
-    """Single-step transport increment (Cartan assembly), any degree."""
+                  config: AdvectionConfig, work: dict | None = None) -> Cochain:
+    """Single-step transport increment (Cartan assembly), any degree.
+
+    The increment is a fresh buffer, also when a workspace is passed.
+    """
     nu = max_courant(vel, config.dt)
     if nu > config.courant_limit:
         raise CourantError(
             f"courant number {nu:.6g} exceeds the configured "
             f"limit {config.courant_limit:g}")
-    a = contract(exterior_derivative(omega), vel, config.dt, config.scheme).cochain
-    b = exterior_derivative(contract(omega, vel, config.dt, config.scheme).cochain)
-    # a's values are a fresh buffer, so the sum goes straight into it.
-    values = a.values
-    values += b.values
+    a = contract(exterior_derivative(omega, work), vel, config.dt,
+                 config.scheme, work).cochain
+    b = exterior_derivative(
+        contract(omega, vel, config.dt, config.scheme, work).cochain, work)
+    # The sum goes into the fresh piece; addition commutes, so the bits
+    # do not depend on which piece that is.
+    fresh, other = (b, a) if omega.degree == 0 else (a, b)
+    values = fresh.values
+    values += other.values
     return Cochain(omega.grid, omega.degree, values)
 
 
-def step(omega: Cochain, vel: StaggeredVelocity,
-         config: AdvectionConfig) -> Cochain:
-    inc = lie_increment(omega, vel, config)
-    out = axpy(-1.0, inc, omega)
-    _check_finite(out.values, out.grid, out.degree, "after advection step")
+def step(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
+         work: dict | None = None) -> Cochain:
+    out = lie_increment(omega, vel, config, work)
+    # (-1) * increment + omega, as axpy computes it, in the increment.
+    values = out.values
+    values *= -1.0
+    values += omega.values
+    _check_finite(values, out.grid, out.degree, "after advection step")
     return out
 
 
@@ -77,16 +104,19 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
     the step, scheme and grid size: "step k (scheme, NXxNY): ...". Each
     step calls the module-level step, so a replaced one is the one that
     runs. This is the library's only step loop; the lockstep equivalence
-    scenario runs through it with an observer.
+    scenario runs through it with an observer. The call's workspace is
+    made here and passed to every step; the observer sees only fresh
+    states.
     """
     grid = omega.grid
     _require_extent(min(grid.nx, grid.ny), config.scheme)
     state = omega
+    work: dict = {}
     if observer is not None:
         observer(0, state)
     for k in range(1, config.steps + 1):
         try:
-            state = step(state, vel, config)
+            state = step(state, vel, config, work)
         except (CourantError, NonFiniteValueError) as err:
             raise type(err)(f"step {k} ({config.scheme.value}, "
                             f"{grid.nx}x{grid.ny}): {err}") from err

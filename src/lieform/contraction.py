@@ -13,13 +13,16 @@ an interface point value, then integrate: ((value * flux) * dt) / h,
 computed in place (a leading minus becomes a final *= -1.0, the same
 IEEE operation).
 
-Each result is one fresh flat buffer: a 1-form's x and y components
-are its two halves, written directly, and a 0-form's plane is
-reshaped, not copied. The upwind products c * flux * w[up] are
-computed as w[up] *= c * flux on the freshly gathered values, and a
-sum of products times c as (sum) *= c; a swap of the two operands of
-one * or + is exact in IEEE arithmetic, so the bits are those of the
-written formulas.
+Each result is one flat buffer: a 1-form's x and y components are
+the two halves of a fresh buffer, written directly, and a 0-form's
+plane is reshaped, not copied. With a workspace (see advection.py) the
+upwind 0-form is its "form" buffer, and the upwind paths take their
+plane temporaries (the c * flux planes, the second node term) from its
+"tmp" buffer; without one they are fresh. The upwind products
+c * flux * w[up] are computed as w[up] *= (c * flux) on the freshly
+read values, and a sum of products times c as (sum) *= c; a swap of
+the two operands of one * or + is exact in IEEE arithmetic, so the bits
+are those of the written formulas.
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Cochain
+from .forms import Cochain, scratch
 from .reconstruct import CourantError, SchemeKind, interface_point_values
 from .velocity import StaggeredVelocity, average_to_node, max_courant
 
@@ -57,12 +60,12 @@ def _integrate(r, flux, dt: float, h: float, out):
     return out
 
 
-def _upwind(plane, read, out=None):
+def _upwind(plane, read, out):
     """The upwind entry of every interface, as the velocity reads it.
 
     read is a periodic shift (axis, k), which joins the plane's blocks
     [k:] and [:k] along axis, or a flat gather index; out is filled and
-    returned (a fresh array when None).
+    returned.
     """
     if isinstance(read, tuple):
         axis, k = read
@@ -75,7 +78,7 @@ def _upwind(plane, read, out=None):
 
 
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                   scheme: SchemeKind) -> Cochain:
+                   scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """Transport swept through each edge, as a 1-form.
 
     The upwind path reads each face's upwind cell as the velocity
@@ -86,12 +89,14 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     w = omega.plane()
     if scheme is SchemeKind.UPWIND:
         up_x, up_y = vel._face_upwind
+        c = dt / grid.h ** 2
         out = Cochain(grid, 1, np.empty(2 * grid.size))
         ex, ey = out.component("x"), out.component("y")
+        coef = scratch(work, "tmp", grid.shape)
         _upwind(w, up_y, ex)
-        ex *= (-(dt / grid.h ** 2)) * vel.flux_y
+        ex *= np.multiply(-c, vel.flux_y, out=coef)
         _upwind(w, up_x, ey)
-        ey *= (dt / grid.h ** 2) * vel.flux_x
+        ey *= np.multiply(c, vel.flux_x, out=coef)
     else:
         u = w / grid.h
         ry = interface_point_values(u, 0, vel.flux_y, scheme)
@@ -108,7 +113,7 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
 
 
 def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                   scheme: SchemeKind) -> Cochain:
+                   scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """Transport of edge values onto vertices, as a 0-form.
 
     Fluxes are averaged onto the vertex lattice (two-point transverse
@@ -124,9 +129,9 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if scheme is SchemeKind.UPWIND:
         sum_x, sum_y = vel._node_sums
         up_x, up_y = vel._node_upwind
-        node = _upwind(wx, up_x)
+        node = _upwind(wx, up_x, scratch(work, "form", grid.shape))
         node *= sum_x
-        part = _upwind(wy, up_y)
+        part = _upwind(wy, up_y, scratch(work, "tmp", grid.shape))
         part *= sum_y
         node += part
         node *= dt / (2.0 * grid.h ** 2)
@@ -140,7 +145,8 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
 
 
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
-             scheme: SchemeKind = SchemeKind.UPWIND) -> ContractionResult:
+             scheme: SchemeKind = SchemeKind.UPWIND,
+             work: dict | None = None) -> ContractionResult:
     if vel.grid != omega.grid:
         raise ValueError("velocity and form live on different grids")
     if not dt > 0.0:
@@ -149,9 +155,9 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if nu > 1.0:
         raise CourantError(f"courant number {nu:.6g} exceeds the hard limit 1")
     if omega.degree == 2:
-        out = contract_2form(omega, vel, dt, scheme)
+        out = contract_2form(omega, vel, dt, scheme, work)
     elif omega.degree == 1:
-        out = contract_1form(omega, vel, dt, scheme)
+        out = contract_1form(omega, vel, dt, scheme, work)
     elif omega.degree == 0:
         out = Cochain.empty(omega.grid, -1)     # degree drops below 0
     elif omega.degree == 3 and omega.is_empty:

@@ -154,6 +154,26 @@ class RectangleForm:
             raise ValueError("rectangle bounds must satisfy x0 < x1 and y0 < y1")
 
 
+def scratch(work: dict | None, role: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float64 buffer for one operator's use.
+
+    With work None it is a fresh array. Otherwise it is work's buffer
+    for (role, shape), made on first use and handed out again on every
+    later call, so its contents last only until the next operator that
+    asks for the same role and shape fills it. The step's operators use
+    two roles: "form" for a result the next operator consumes (within a
+    step no two such results of one shape are needed at once) and "tmp"
+    for a plane that dies within the operator.
+    """
+    if work is None:
+        return np.empty(shape)
+    key = (role, shape)
+    buf = work.get(key)
+    if buf is None:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
 def _check_finite(values: np.ndarray, grid: GridComplex2D, degree: int, what: str) -> None:
     if not np.isfinite(values).all():
         idx = int(np.flatnonzero(~np.isfinite(values))[0])

@@ -1,6 +1,8 @@
 """Transport steps assembled from derivative + contraction."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -93,15 +95,9 @@ def test_step_2form_matches_split_fv(scheme):
         assert np.array_equal(w.plane(), fv.plane())
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])
-@pytest.mark.parametrize("scheme,flux", [
-    pytest.param(s, f, id=str(s) if f == "mixed" else f"{f}-{s}")
-    for f in ("mixed", "positive", "negative") for s in SchemeKind])
-def test_operators_return_fresh_values(degree, scheme, flux):
-    # The operators fill their results in place, so guard against a
-    # result that aliases an input, the velocity or another result. A
-    # one-signed flux reconstructs axis 1 on the transpose.
-    rng = np.random.default_rng(257)
+def _flux_setup(flux, degree, seed):
+    """9x8 velocity (mixed, positive or negative flux), degree-k form."""
+    rng = np.random.default_rng(seed)
     if flux == "mixed":
         g, vel = _setup(rng, 9, 8)
     else:
@@ -111,7 +107,18 @@ def test_operators_return_fresh_values(degree, scheme, flux):
                                 np.full(g.shape, s * 0.06))
     values = rng.standard_normal(g.cell_count(degree))
     values[:3] = (0.0, -0.0, 5e-324)
-    omega = Cochain(g, degree, values)
+    return vel, Cochain(g, degree, values)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("scheme,flux", [
+    pytest.param(s, f, id=str(s) if f == "mixed" else f"{f}-{s}")
+    for f in ("mixed", "positive", "negative") for s in SchemeKind])
+def test_operators_return_fresh_values(degree, scheme, flux):
+    # The operators fill their results in place, so guard against a
+    # result that aliases an input, the velocity or another result. A
+    # one-signed flux reconstructs axis 1 on the transpose.
+    vel, omega = _flux_setup(flux, degree, 257)
     omega.values.flags.writeable = False
     before = omega.values.tobytes()
     config = AdvectionConfig(0.05, 1, scheme)
@@ -131,6 +138,59 @@ def test_operators_return_fresh_values(degree, scheme, flux):
         for other in held + outs[:k]:
             assert not np.shares_memory(out, other)
     assert omega.values.tobytes() == before
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("flux", ["mixed", "positive"])
+@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO5])
+def test_advect_workspace_never_escapes(scheme, flux, degree):
+    # advect reuses one workspace across its steps; every state it
+    # hands out must still be a buffer of its own, equal to the chain
+    # of plain steps, which make every buffer fresh.
+    vel, omega = _flux_setup(flux, degree, 263)
+    config = AdvectionConfig(0.05, 5, scheme)
+    kept = []
+    advect(omega, vel, config, lambda k, state: kept.append(state))
+    chain = [omega]
+    for _ in range(config.steps):
+        chain.append(step(chain[-1], vel, config))
+    assert len(kept) == len(chain)
+    for k, (state, want) in enumerate(zip(kept, chain)):
+        assert np.array_equal(state.values.view(np.int64),
+                              want.values.view(np.int64))
+        for other in kept[:k]:
+            assert not np.shares_memory(state.values, other.values)
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO5])
+def test_concurrent_advects_give_sequential_bits(scheme):
+    # Each advect call owns its workspace, so two calls running at once
+    # on one velocity cannot write into each other's buffers.
+    rng = np.random.default_rng(269)
+    g, vel = _setup(rng, 40, 36, h=1.0 / 40)
+    omega = Cochain(g, 1, rng.standard_normal(g.cell_count(1)))
+    config = AdvectionConfig(0.01, 150, scheme)
+    want = advect(omega, vel, config).values
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(slot):
+        barrier.wait()
+        results[slot] = advect(omega, vel, config).values
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+    # Switch threads often, so the two calls interleave within steps.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_advect_observer_sequence():

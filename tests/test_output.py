@@ -5,7 +5,7 @@ import pytest
 
 from lieform.forms import Cochain
 from lieform.grid import build_complex
-from lieform.output import (CSV_HEADER, ErrorRecord, RasterImage,
+from lieform.output import (CSV_HEADER, DUMP_CHUNK, ErrorRecord, RasterImage,
                             read_error_table, read_field, read_pgm,
                             render_field, write_error_table, write_field,
                             write_pgm)
@@ -59,18 +59,50 @@ def test_error_table_rejects_bad_shapes(tmp_path):
         read_error_table(path)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])
-def test_field_dump_round_trip(tmp_path, degree):
+# (nx, ny, degree) per case: degrees 0-3 below one chunk, then one
+# chunk exactly, two chunks, and two chunks plus a partial third.
+_ROWS = DUMP_CHUNK // 64
+DUMP_CASES = {
+    "0": (6, 4, 0),
+    "1": (6, 4, 1),
+    "2": (6, 4, 2),
+    "3-empty": (6, 4, 3),
+    "one-chunk": (_ROWS, 64, 0),
+    "two-chunks": (_ROWS, 64, 1),
+    "ragged-last-chunk": (_ROWS + 1, 64, 1),
+}
+
+
+@pytest.mark.parametrize("nx,ny,degree", list(DUMP_CASES.values()),
+                         ids=list(DUMP_CASES))
+def test_field_dump_round_trip(tmp_path, nx, ny, degree):
     rng = np.random.default_rng(55)
-    g = build_complex(6, 4, 0.125)
-    size = g.cell_count(degree)
-    w = Cochain(g, degree, rng.standard_normal(size))
+    g = build_complex(nx, ny, 0.125)
+    size = g.cell_count(degree) if degree in (0, 1, 2) else 0
+    values = rng.standard_normal(size)
+    specials = (-0.0, 5e-324, 1e16, 1e-05)
+    if size:
+        values[:4] = specials
+        values[-4:] = specials
+    w = Cochain(g, degree, values)
     path = tmp_path / "field.txt"
     write_field(path, w)
+    header = [f"degree {degree}", f"nx {nx}", f"ny {ny}", "h 0.125"]
+    expected = "\n".join(header + [repr(v) for v in values.tolist()]) + "\n"
+    assert path.read_bytes() == expected.encode()
     back = read_field(path)
     assert back.grid == g
     assert back.degree == degree
-    assert np.array_equal(back.values, w.values)
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
+def test_field_dump_skips_blank_lines(tmp_path):
+    path = tmp_path / "field.txt"
+    rows = ["", "0.5", "  ", "-0.0", "", "\t", "1e-05"] + ["2.5"] * 13 + ["", ""]
+    path.write_text("degree 0\nnx 4\nny 4\nh 0.25\n" + "\n".join(rows) + "\n")
+    back = read_field(path)
+    want = np.array([0.5, -0.0, 1e-05] + [2.5] * 13)
+    assert np.array_equal(back.values.view(np.int64), want.view(np.int64))
 
 
 def test_field_dump_truncated(tmp_path):
@@ -92,6 +124,13 @@ def test_field_dump_errors_name_the_file(tmp_path):
         read_field(path)
     path.write_text(header + "0.5\nabc\n")
     with pytest.raises(ValueError, match=r"field_000007\.txt: could not convert"):
+        read_field(path)
+    with pytest.raises(ValueError, match=r"field_000007\.txt: could not convert "
+                                         r"string to float: 'abc' \(line 6\)$"):
+        read_field(path)
+    # blank lines count: the row is the eighth line of the file
+    path.write_text(header + "0.5\n\n \n1.5 x\n")
+    with pytest.raises(ValueError, match=r"'1\.5 x' \(line 8\)$"):
         read_field(path)
     path.write_text("degree 2\nnx 2\nny 8\nh 0.125\n")
     with pytest.raises(ValueError, match=r"field_000007\.txt: grid must be"):
