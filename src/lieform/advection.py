@@ -6,31 +6,40 @@ Each step subtracts one assembled increment:
     omega_new = omega - increment
 
 The two pieces are added before the subtraction, so the increment is
-available to callers as a single cochain; the update is the axpy
-(-1) * increment + omega.
+available to callers as a single cochain; the update omega - increment
+is written by one subtraction into the increment's buffer. That is the
+axpy (-1) * increment + omega bit for bit, since IEEE arithmetic
+defines a - b as a + (-b).
 
 Each advect call makes one workspace, a dict, and owns it: step passes
 it down through lie_increment to exterior_derivative and contract, and
-forms.scratch hands out its buffers. Only that call uses it, one
-operator at a time, so two advect calls (in one thread or in two) never
-share a buffer. It holds the plane-sized buffers that die within a
-step: d's result and its shifted plane, and the upwind contraction's
-0-form and its c * flux and second-term planes; a 1-form step needs
-four planes of it. Nothing that step returns lives in it. Called
-without a workspace, every operator returns fresh buffers.
+forms.scratch hands out its buffers, one per (role, shape). Only that
+call uses it, one operator at a time, so two advect calls (in one
+thread or in two) never share a buffer; the rule for thread safety is
+that one advect call owns its workspace, and a caller that passes a
+workspace to step or contract itself must not share it between
+threads. It holds the buffers that die within a step: d's result and
+its shifted plane; the upwind contraction's 0-form and its c * flux
+and second-term planes; and the WENO contraction's averaged planes,
+wrapped copies, windows and kernel temporaries (see reconstruct.py). A
+1-form upwind step needs four planes of it. Nothing that step returns
+lives in it. Called without a workspace, every operator returns fresh
+buffers.
 
 Of the two pieces one is always fresh: for a 0-form the second, the
 zero form d makes of the empty contraction; otherwise the first. The
 sum goes into it, and step writes the update into the increment in
-place. So an upwind step of a 0- or 1-form allocates one buffer, the
-new state; a 2-form step also allocates contraction's 1-form, and a
-WENO step the reconstructions' temporaries.
+place. So a step of a 0- or 1-form allocates one float buffer, the new
+state, with either scheme; a 2-form step also allocates contraction's
+1-form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .contraction import contract
 from .derivative import exterior_derivative
@@ -86,10 +95,8 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
 def step(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
          work: dict | None = None) -> Cochain:
     out = lie_increment(omega, vel, config, work)
-    # (-1) * increment + omega, as axpy computes it, in the increment.
     values = out.values
-    values *= -1.0
-    values += omega.values
+    np.subtract(omega.values, values, out=values)
     _check_finite(values, out.grid, out.degree, "after advection step")
     return out
 

@@ -16,9 +16,21 @@ IEEE operation).
 Each result is one flat buffer: a 1-form's x and y components are
 the two halves of a fresh buffer, written directly, and a 0-form's
 plane is reshaped, not copied. With a workspace (see advection.py) the
-upwind 0-form is its "form" buffer, and the upwind paths take their
-plane temporaries (the c * flux planes, the second node term) from its
-"tmp" buffer; without one they are fresh. The upwind products
+0-form is its "form" buffer, the one result that lives there, which d
+consumes next; the upwind paths take their plane temporaries (the c *
+flux planes, the second node term) from its "tmp" buffer; without one
+they are fresh.
+
+Each WENO contraction reconstructs its two interface sets in one call
+of reconstruct._reconstruct, which runs the jobs with a negative flux
+through one kernel pass together: contract_2form pairs (u, 0, flux_y)
+with (u, 1, flux_x), and contract_1form pairs (wx/h, 1, avg_x) with
+(wy/h, 0, avg_y). Each job carries its flux's negative-sign mask,
+which the velocity computes once. The reconstructions land in the
+result's two halves (2-form) or over the scaled planes (1-form, a
+"tmp" buffer of two planes), and are integrated there in place. The
+kernel's temporaries come from the workspace, or are fresh without
+one; no result of a contraction lives in them. The upwind products
 c * flux * w[up] are computed as w[up] *= (c * flux) on the freshly
 read values, and a sum of products times c as (sum) *= c; a swap of
 the two operands of one * or + is exact in IEEE arithmetic, so the bits
@@ -42,7 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Cochain, scratch
-from .reconstruct import CourantError, SchemeKind, interface_point_values
+from .reconstruct import CourantError, SchemeKind, _reconstruct
+# Unused here, but perfbench wraps lieform.contraction.interface_point_values.
+from .reconstruct import interface_point_values  # noqa: F401
 from .velocity import StaggeredVelocity, average_to_node, max_courant
 
 
@@ -87,28 +101,24 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     """
     grid = omega.grid
     w = omega.plane()
+    out = Cochain(grid, 1, np.empty(2 * grid.size))
+    ex, ey = out.component("x"), out.component("y")
     if scheme is SchemeKind.UPWIND:
         up_x, up_y = vel._face_upwind
         c = dt / grid.h ** 2
-        out = Cochain(grid, 1, np.empty(2 * grid.size))
-        ex, ey = out.component("x"), out.component("y")
         coef = scratch(work, "tmp", grid.shape)
         _upwind(w, up_y, ex)
         ex *= np.multiply(-c, vel.flux_y, out=coef)
         _upwind(w, up_x, ey)
         ey *= np.multiply(c, vel.flux_x, out=coef)
     else:
-        u = w / grid.h
-        ry = interface_point_values(u, 0, vel.flux_y, scheme)
-        rx = interface_point_values(u, 1, vel.flux_x, scheme)
-        # Allocated after the reconstructions' temporaries are freed, so
-        # the result does not leave them as a free heap top that glibc
-        # trims and the next step faults back in.
-        out = Cochain(grid, 1, np.empty(2 * grid.size))
-        ex, ey = out.component("x"), out.component("y")
-        _integrate(ry, vel.flux_y, dt, grid.h, ex)
+        u = np.divide(w, grid.h, out=scratch(work, "tmp", grid.shape))
+        neg_x, neg_y = vel._face_negative
+        _reconstruct([(u, 0, neg_y), (u, 1, neg_x)], scheme, work,
+                     out.values.reshape(2, *grid.shape))
+        _integrate(ex, vel.flux_y, dt, grid.h, ex)
         ex *= -1.0
-        _integrate(rx, vel.flux_x, dt, grid.h, ey)
+        _integrate(ey, vel.flux_x, dt, grid.h, ey)
     return out
 
 
@@ -137,10 +147,14 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
         node *= dt / (2.0 * grid.h ** 2)
     else:
         avg_x, avg_y = average_to_node(vel)
-        node = interface_point_values(wx / grid.h, 1, avg_x, scheme)
-        _integrate(node, avg_x, dt, grid.h, node)
-        part = interface_point_values(wy / grid.h, 0, avg_y, scheme)
-        node += _integrate(part, avg_y, dt, grid.h, part)
+        # Both scaled planes, overwritten by their reconstructions.
+        u = np.divide(omega.values.reshape(2, *grid.shape), grid.h,
+                      out=scratch(work, "tmp", (2, *grid.shape)))
+        neg_x, neg_y = vel._node_negative
+        _reconstruct([(u[0], 1, neg_x), (u[1], 0, neg_y)], scheme, work, u)
+        _integrate(u[0], avg_x, dt, grid.h, u[0])
+        _integrate(u[1], avg_y, dt, grid.h, u[1])
+        node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
     return Cochain(grid, 0, node.ravel())
 
 

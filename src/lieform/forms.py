@@ -163,7 +163,9 @@ def scratch(work: dict | None, role: str, shape: tuple) -> np.ndarray:
     asks for the same role and shape fills it. The step's operators use
     two roles: "form" for a result the next operator consumes (within a
     step no two such results of one shape are needed at once) and "tmp"
-    for a plane that dies within the operator.
+    for a plane that dies within the operator. The WENO reconstruction
+    inside a contraction adds "pad", "window" and "weno" for buffers
+    that die within one kernel pass (see reconstruct.py).
     """
     if work is None:
         return np.empty(shape)

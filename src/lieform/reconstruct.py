@@ -14,15 +14,37 @@ contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
 instead of powers) so the scalar kernel and the vectorized plane path
-produce bitwise identical results. Each expression chain makes one fresh
-result and updates it in place by augmented assignment, which rebinds a
-Python float and writes an array's own buffer, so one code path serves
-both. Where this departs from the written formula it uses only rewrites
-that are exact in IEEE arithmetic: a - c*x becomes a += (-c)*x, since
-negation is exact and a - b is a + (-b); x * poly becomes poly *= x,
-since multiplication commutes. Window entries are views of the wrapped
-copy or of the caller's plane and are never written: every chain starts
-from a fresh product, sum or negation.
+produce bitwise identical results. One kernel serves Python floats and
+planes. Each expression chain starts with one operation that makes its
+value (a chain start: a product, sum, difference, quotient or negation)
+and updates it in place by augmented assignment, which rebinds a Python
+float and writes an array's own buffer. The chain starts are called
+through a small table picked by the type of the window entries: Python
+arithmetic for floats, numpy's ufuncs for arrays, each given a slot to
+write into. A slot of None makes a fresh array, as the public
+interface_point_values does; a pass under a workspace passes its
+buffers, so the pass allocates nothing. Where this departs from the
+written formula it uses only rewrites that are exact in IEEE arithmetic:
+a - c*x becomes a += (-c)*x, since negation is exact and a - b is
+a + (-b); x * poly becomes poly *= x and eps + b becomes b += eps, since
+multiplication and addition commute. Window entries are views of the
+wrapped copy or of the caller's plane, or window buffers, and are never
+written: every chain starts in a slot of its own.
+
+Workspace contract (see advection.py for who owns the workspace).
+_reconstruct takes one or two jobs and a workspace, a dict that
+forms.scratch hands buffers out of, one per (role, shape):
+  - "weno": the kernel temporaries of one pass, one block of slots of
+    the pass's shape (7 for WENO5, 9 for WENO7), fetched once per pass;
+  - "window": the windows of a mixed pass, one (width, jobs, ny, nx)
+    block;
+  - "pad": the wrapped copy of a job's plane.
+Jobs with a negative sign share one pass; each one-signed job runs a
+pass of its own on views of its wrapped copy. The results go into the
+caller's out array, so no result lives in the workspace, and the
+workspace holds nothing between calls that a later call relies on. One
+workspace must not be used by two calls at once: one advect call owns
+its workspace, and no workspace is module-level or shared by threads.
 """
 
 from __future__ import annotations
@@ -31,6 +53,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from .forms import scratch
 
 SMOOTH_EPS = 1e-6
 
@@ -81,6 +105,28 @@ class Stencil1D:
             raise ValueError(f"unsupported window width {len(self.values)}")
 
 
+# The chain starts, as (mul, add, sub, div, neg), each called as
+# op(a, b, out) or neg(a, out). For Python floats they make a new float
+# and out is None. For arrays they are numpy's ufuncs, which write into
+# the buffer out, or make a fresh array when out is None.
+_FLOAT_OPS = (lambda a, b, out: a * b, lambda a, b, out: a + b,
+              lambda a, b, out: a - b, lambda a, b, out: a / b,
+              lambda a, out: -a)
+_ARRAY_OPS = (np.multiply, np.add, np.subtract, np.divide, np.negative)
+
+
+def _ops(x) -> tuple:
+    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+
+
+# How many buffers a pass of each scheme takes from its slots: one per
+# smoothness indicator and per candidate, and the product slot (last).
+# WENO7's indicators run a second chain in the first candidate's slot,
+# which is free until the candidates start.
+_SLOTS = {SchemeKind.UPWIND: 0, SchemeKind.WENO5: 7, SchemeKind.WENO7: 9}
+_FRESH = (None,) * _SLOTS[SchemeKind.WENO7]
+
+
 def _beta5(curv, slope):
     """_C13 * curv**2 + 0.25 * slope**2, written into curv and slope."""
     curv *= curv
@@ -91,32 +137,37 @@ def _beta5(curv, slope):
     return curv
 
 
-def _weno5_parts(w0, w1, w2, w3, w4):
-    c0 = w0 - 2.0 * w1
+def _weno5_parts(w0, w1, w2, w3, w4, slots=_FRESH):
+    """Indicators in slots 0-2, candidates in slots 3-5."""
+    mul, _, sub, _, neg = _ops(w0)
+    tmp = slots[-1]
+    c0 = sub(w0, mul(2.0, w1, tmp), slots[0])
     c0 += w2
-    s0 = w0 - 4.0 * w1
-    s0 += 3.0 * w2
-    c1 = w1 - 2.0 * w2
+    s0 = sub(w0, mul(4.0, w1, tmp), slots[1])
+    s0 += mul(3.0, w2, tmp)
+    b0 = _beta5(c0, s0)
+    c1 = sub(w1, mul(2.0, w2, tmp), slots[1])
     c1 += w3
-    c2 = w2 - 2.0 * w3
+    b1 = _beta5(c1, sub(w1, w3, slots[2]))
+    c2 = sub(w2, mul(2.0, w3, tmp), slots[2])
     c2 += w4
-    s2 = 3.0 * w2
-    s2 += -4.0 * w3
+    s2 = mul(3.0, w2, slots[3])
+    s2 += mul(-4.0, w3, tmp)
     s2 += w4
-    betas = (_beta5(c0, s0), _beta5(c1, w1 - w3), _beta5(c2, s2))
-    p0 = 2.0 * w0
-    p0 += -7.0 * w1
-    p0 += 11.0 * w2
+    b2 = _beta5(c2, s2)
+    p0 = mul(2.0, w0, slots[3])
+    p0 += mul(-7.0, w1, tmp)
+    p0 += mul(11.0, w2, tmp)
     p0 /= 6.0
-    p1 = -w1
-    p1 += 5.0 * w2
-    p1 += 2.0 * w3
+    p1 = neg(w1, slots[4])
+    p1 += mul(5.0, w2, tmp)
+    p1 += mul(2.0, w3, tmp)
     p1 /= 6.0
-    p2 = 2.0 * w2
-    p2 += 5.0 * w3
+    p2 = mul(2.0, w2, slots[5])
+    p2 += mul(5.0, w3, tmp)
     p2 -= w4
     p2 /= 6.0
-    return betas, (p0, p1, p2)
+    return (b0, b1, b2), (p0, p1, p2)
 
 
 # Each WENO7 smoothness indicator is a quadratic form in the four cells
@@ -135,71 +186,87 @@ _B7 = (
 )
 
 
-def _weno7_parts(v0, v1, v2, v3, v4, v5, v6):
+def _weno7_parts(v0, v1, v2, v3, v4, v5, v6, slots=_FRESH):
+    """Indicators in slots 0-3, candidates in slots 4-7.
+
+    The indicators' second chain runs in slot 4 before p0 takes it.
+    """
+    mul, _, sub, _, neg = _ops(v0)
     window = (v0, v1, v2, v3, v4, v5, v6)
+    part, tmp = slots[4], slots[-1]
     betas = []
     for s, (r0, r1, r2, c) in enumerate(_B7):
         x0, x1, x2, x3 = window[s:s + 4]
-        b = r0[0] * x0
-        b += r0[1] * x1
-        b += r0[2] * x2
-        b += r0[3] * x3
+        b = mul(r0[0], x0, slots[s])
+        b += mul(r0[1], x1, tmp)
+        b += mul(r0[2], x2, tmp)
+        b += mul(r0[3], x3, tmp)
         b *= x0
-        t = r1[0] * x1
-        t += r1[1] * x2
-        t += r1[2] * x3
+        t = mul(r1[0], x1, part)
+        t += mul(r1[1], x2, tmp)
+        t += mul(r1[2], x3, tmp)
         t *= x1
         b += t
-        t = r2[0] * x2
-        t += r2[1] * x3
+        t = mul(r2[0], x2, part)
+        t += mul(r2[1], x3, tmp)
         t *= x2
         b += t
-        t = x3 * x3
+        t = mul(x3, x3, part)
         t *= c
         b += t
         b /= 240.0
         betas.append(b)
-    p0 = -3.0 * v0
-    p0 += 13.0 * v1
-    p0 += -23.0 * v2
-    p0 += 25.0 * v3
+    p0 = mul(-3.0, v0, slots[4])
+    p0 += mul(13.0, v1, tmp)
+    p0 += mul(-23.0, v2, tmp)
+    p0 += mul(25.0, v3, tmp)
     p0 /= 12.0
-    p1 = v1 - 5.0 * v2
-    p1 += 13.0 * v3
-    p1 += 3.0 * v4
+    p1 = sub(v1, mul(5.0, v2, tmp), slots[5])
+    p1 += mul(13.0, v3, tmp)
+    p1 += mul(3.0, v4, tmp)
     p1 /= 12.0
-    p2 = -v2
-    p2 += 7.0 * v3
-    p2 += 7.0 * v4
+    p2 = neg(v2, slots[6])
+    p2 += mul(7.0, v3, tmp)
+    p2 += mul(7.0, v4, tmp)
     p2 -= v5
     p2 /= 12.0
-    p3 = 3.0 * v3
-    p3 += 13.0 * v4
-    p3 += -5.0 * v5
+    p3 = mul(3.0, v3, slots[7])
+    p3 += mul(13.0, v4, tmp)
+    p3 += mul(-5.0, v5, tmp)
     p3 += v6
     p3 /= 12.0
     return tuple(betas), (p0, p1, p2, p3)
 
 
-def _parts(scheme: SchemeKind, window):
+def _parts(scheme: SchemeKind, window, slots):
     if scheme is SchemeKind.WENO5:
-        return _weno5_parts(*window), _D5
+        return _weno5_parts(*window, slots), _D5
     if scheme is SchemeKind.WENO7:
-        return _weno7_parts(*window), _D7
+        return _weno7_parts(*window, slots), _D7
     raise ValueError(f"scheme {scheme.value} has no candidate decomposition")
 
 
-def _left_biased(scheme: SchemeKind, window):
-    """Interface value from an upwind-ordered window."""
+def _left_biased(scheme: SchemeKind, window, slots=_FRESH, out=None):
+    """Interface value from an upwind-ordered window.
+
+    The temporaries go into slots, and the result into out, or else
+    into the first term's slot; a slot of None makes a new value.
+    """
     if scheme is SchemeKind.UPWIND:
-        return window[0]
-    (betas, cands), dopt = _parts(scheme, window)
+        if out is None:
+            return window[0]
+        np.copyto(out, window[0])
+        return out
+    (betas, cands), dopt = _parts(scheme, window, slots)
+    _, add, _, div, _ = _ops(betas[0])
+    # SMOOTH_EPS + b is computed as b += SMOOTH_EPS, and each alpha goes
+    # into its indicator's slot.
     alphas = []
-    for d, b in zip(dopt, betas):
-        s = SMOOTH_EPS + b
-        s *= s
-        alphas.append(d / s)
-    total = alphas[0] + alphas[1]
+    for k, (d, b) in enumerate(zip(dopt, betas)):
+        b += SMOOTH_EPS
+        b *= b
+        alphas.append(div(d, b, slots[k]))
+    total = add(alphas[0], alphas[1], slots[-1])
     for a in alphas[2:]:
         total += a
     terms = []
@@ -207,8 +274,9 @@ def _left_biased(scheme: SchemeKind, window):
         a /= total
         a *= p
         terms.append(a)
-    acc = terms[0]
-    for t in terms[1:]:
+    # The sum goes into out, or else into the first term.
+    acc = add(terms[0], terms[1], terms[0] if out is None else out)
+    for t in terms[2:]:
         acc += t
     return acc
 
@@ -260,43 +328,113 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     index of its downwind-side cell when flow points up the axis). signs
     gives the flow direction per interface; zeros (either sign of zero)
     fall back to the positive-direction value, which callers null out
-    with the zero flux.
+    with the zero flux. signs must have the plane's shape.
 
-    Each interface is reconstructed once. Shift s (0..width) of the
-    plane, a view into one wrapped copy, holds cell k - c - 1 + s at
-    interface k, where c = (width - 1) // 2. The positive window is
-    shifts 0..width-1 and the negative window is shifts width..1; each
-    interface selects its window by its sign before the single kernel
-    pass.
-
-    When no sign is negative, an axis-1 call reconstructs the transpose
-    along axis 0 and returns the transposed result: each shift is then a
-    contiguous block of rows, not a strided column window, and the
-    elementwise kernel gives the same bits in either layout. The
-    mixed-sign path keeps the plane's layout, because np.where already
-    writes each window entry contiguously. signs must have the plane's
-    shape.
+    This is one job of _reconstruct with no workspace: every temporary
+    and the result are fresh arrays. When no sign is negative and axis
+    is 1, the result is the transpose of a C-ordered array (see
+    _reconstruct).
     """
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     if np.shape(signs) != u.shape:
         raise ValueError(
             f"signs shape {np.shape(signs)} != plane shape {u.shape}")
-    width = scheme.stencil_width
-    n = u.shape[axis]
-    _require_extent(n, scheme)
-    c = (width - 1) // 2
     neg = signs < 0
-    one_signed = not neg.any()
-    transposed = one_signed and axis == 1
-    if transposed:
-        u, axis = u.T, 0
-    padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap")
-    shifts = [padded[s:s + n] if axis == 0 else padded[:, s:s + n]
-              for s in range(width + 1)]
-    if one_signed:
-        r = _left_biased(scheme, shifts[:width])
-        return r.T if transposed else r
-    window = [np.where(neg, shifts[width - m], shifts[m])
-              for m in range(width)]
-    return _left_biased(scheme, window)
+    return _reconstruct([(u, axis, neg if neg.any() else None)], scheme)[0]
+
+
+def _reconstruct(jobs, scheme: SchemeKind, work: dict | None = None,
+                 out: np.ndarray | None = None) -> list:
+    """Interface values of one or two jobs of one plane shape.
+
+    A job is (u, axis, neg): the plane of cell averages, the axis of its
+    interfaces, and the mask of interfaces whose flow sign is negative,
+    or None when no sign is (zeros of either sign count as positive).
+    Each interface is reconstructed once from shifts 0..width of its
+    plane (see _shifts): the positive window is shifts 0..width-1 and
+    the negative window is shifts width..1.
+
+    The jobs with a mask share one kernel pass: window m of the k-th of
+    them is plane k of a (width, jobs, ny, nx) buffer, filled with shift
+    m and then, where the mask is set, with shift width - m, so every
+    ufunc of the pass covers both jobs. A job without a mask runs a pass
+    of its own on the shifts themselves, which are views and cost no
+    copy; along axis 1 it runs on the transpose of its plane, so each
+    shift is a contiguous block of rows, and the elementwise kernel
+    gives the same bits in either layout.
+
+    With a workspace the wrapped copies, windows and kernel temporaries
+    are its buffers (forms.scratch roles "pad", "window" and "weno",
+    each keyed by shape), fetched once per pass; without one they are
+    fresh arrays. Job j's result goes into out[j], a (jobs, ny, nx)
+    array that may be the jobs' own planes stacked: job j's plane is
+    read before its result is written, and no other job reads it. Only
+    without a workspace may out be None; each result is then a fresh
+    array, transposed for a one-signed job along axis 1. Returns the
+    results, in job order.
+    """
+    width = scheme.stencil_width
+    results = [None] * len(jobs)
+    mixed = []
+    for j, (u, axis, neg) in enumerate(jobs):
+        _require_extent(u.shape[axis], scheme)
+        if neg is not None:
+            mixed.append((j, u, axis, neg))
+            continue
+        dest = None if out is None else out[j]
+        if axis == 0:
+            r = _left_biased(scheme, _shifts(u, 0, width, work)[:width],
+                             _slots(work, scheme, u.shape), dest)
+        else:
+            r = _left_biased(scheme, _shifts(u.T, 0, width, work)[:width],
+                             _slots(work, scheme, u.T.shape)).T
+            # One transposing copy: a kernel writing into dest.T would
+            # make each of its last ufuncs a strided write.
+            if dest is not None:
+                np.copyto(dest, r)
+                r = dest
+        results[j] = r
+    if mixed:
+        shape = (len(mixed),) + jobs[0][0].shape
+        windows = scratch(work, "window", (width,) + shape)
+        for k, (j, u, axis, neg) in enumerate(mixed):
+            shifts = _shifts(u, axis, width, work)
+            np.copyto(windows[:, k], shifts[:width])
+            np.copyto(windows[:, k], shifts[width:0:-1], where=neg)
+        lo = mixed[0][0]
+        dest = None if out is None else out[lo:lo + len(mixed)]
+        r = _left_biased(scheme, windows, _slots(work, scheme, shape), dest)
+        for k, (j, *_) in enumerate(mixed):
+            results[j] = r[k]
+    return results
+
+
+def _shifts(u: np.ndarray, axis: int, width: int,
+            work: dict | None) -> np.ndarray:
+    """Shifts 0..width of plane u along axis, as one (width + 1, ...) view.
+
+    Shift s holds cell k - c - 1 + s at interface k, c = (width - 1) // 2.
+    Every shift is a view into one wrapped copy of u, the workspace's
+    "pad" buffer of that shape (or a fresh array without a workspace):
+    consecutive shifts lie one step along axis apart in it.
+    """
+    n = u.shape[axis]
+    c = (width - 1) // 2
+    shape = list(u.shape)
+    shape[axis] += width
+    padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap",
+                    out=None if work is None
+                    else scratch(work, "pad", tuple(shape)))
+    # A view by the ndarray constructor: padded is C-contiguous. numpy's
+    # as_strided (numpy 2.4) costs about 5 us more per call, and its
+    # memory traced by tracemalloc grows by about 10 bytes per call.
+    return np.ndarray((width + 1,) + u.shape, padded.dtype, padded, 0,
+                      (padded.strides[axis],) + padded.strides)
+
+
+def _slots(work: dict | None, scheme: SchemeKind, shape: tuple) -> tuple:
+    """A pass's kernel temporaries: workspace planes, or None for fresh."""
+    if work is None:
+        return _FRESH
+    return tuple(scratch(work, "weno", (_SLOTS[scheme],) + shape))

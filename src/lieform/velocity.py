@@ -10,12 +10,14 @@ fluxes telescopes to zero (up to roundoff of the psi values themselves).
 
 A StaggeredVelocity is immutable: it holds read-only copies of its flux
 arrays, so everything derived from them (the peak flux behind the
-Courant number, the node-averaged fluxes and the upwind side of every
-face and node) is computed once per velocity, on first use, and reused
-by every later step. Each of the four upwind selections (x and y faces,
-x and y nodes) is decided once: a direction with no negative sign reads
-its upwind entries as one periodic shift and holds no index plane; any
-other direction keeps a flat gather index.
+Courant number, the node-averaged fluxes, the upwind side of every
+face and node, and the masks of negative face and averaged node fluxes
+that pick the WENO windows) is computed once per velocity, on first
+use, and reused by every later step. Each of the four upwind
+selections (x and y faces, x and y nodes) is decided once: a direction
+with no negative sign reads its upwind entries as one periodic shift
+and holds no index plane; any other direction keeps a flat gather
+index.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def _upwind_read(signs: np.ndarray, di: int,
     return np.where(up, shifted(own, di=-di, dj=-dj), own)
 
 
+def _negative(signs: np.ndarray) -> np.ndarray | None:
+    """Where signs < 0.0 (so -0.0 is not negative), as a read-only mask;
+    None when no sign is negative."""
+    neg = signs < 0.0
+    return _read_only(neg) if neg.any() else None
+
+
 @dataclass(frozen=True, eq=False)
 class StaggeredVelocity:
     """Steady flux field; flux_x and flux_y are read-only float64 copies."""
@@ -85,6 +94,16 @@ class StaggeredVelocity:
     @cached_property
     def _node_fluxes(self) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_read_only(s / 2.0) for s in self._node_sums)
+
+    @cached_property
+    def _face_negative(self) -> tuple:
+        """Negative-flux masks of the x and y faces, for WENO windows."""
+        return _negative(self.flux_x), _negative(self.flux_y)
+
+    @cached_property
+    def _node_negative(self) -> tuple:
+        """Negative masks of the averaged node fluxes, for WENO windows."""
+        return tuple(_negative(f) for f in self._node_fluxes)
 
     @cached_property
     def _face_upwind(self) -> tuple:

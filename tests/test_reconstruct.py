@@ -18,8 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
-                                 _left_biased, _weno5_parts, _weno7_parts,
-                                 extrusion_integral, interface_point_values,
+                                 _left_biased, _reconstruct, _weno5_parts,
+                                 _weno7_parts, extrusion_integral,
+                                 interface_point_values,
                                  reconstruct_at_interface)
 from reference import reconstruction_weights, smoothness_indicators
 
@@ -288,6 +289,69 @@ def test_interface_point_values_property(case):
     want = _scalar_plane(u, axis, signs, scheme)
     _assert_same_bits(got, want)
     _assert_same_bits(flipped, want)
+
+
+_SIGN_PATTERNS = {
+    "positive": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0])),
+    "negative": st.floats(-1.0, 0.0, exclude_max=True),
+    "mixed": st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0])),
+}
+
+
+@st.composite
+def _job_pairs(draw):
+    # Two jobs on one nx != ny plane shape at or just above the stencil
+    # minimum, each with its own axis and sign pattern; the jobs read
+    # one plane (as contract_2form's do) or two; the results go to a
+    # given out, or over the jobs' own stacked planes (as
+    # contract_1form's do).
+    scheme = draw(st.sampled_from([SchemeKind.WENO5, SchemeKind.WENO7]))
+    ny = scheme.stencil_width + draw(st.integers(1, 3))
+    nx = draw(st.sampled_from([n for n in range(scheme.stencil_width + 1,
+                                                scheme.stencil_width + 5)
+                               if n != ny]))
+    shape = (ny, nx)
+    values = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+    jobs = []
+    for _ in range(2):
+        pattern = draw(st.sampled_from(sorted(_SIGN_PATTERNS)))
+        signs = draw(hnp.arrays(np.float64, shape,
+                                elements=_SIGN_PATTERNS[pattern]))
+        jobs.append([None, draw(st.sampled_from([0, 1])), signs])
+    target = draw(st.sampled_from(["out", "in place"]))
+    if target == "out" and draw(st.booleans()):
+        jobs[0][0] = jobs[1][0] = draw(values)
+    else:
+        planes = np.stack([draw(values), draw(values)])
+        jobs[0][0], jobs[1][0] = planes
+    return scheme, [tuple(job) for job in jobs], target
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_job_pairs(), min_size=2, max_size=3))
+def test_batched_pass_matches_single_calls(cases):
+    # One workspace serves every call, whatever its shapes and data, as
+    # the workspace of one advect call serves every step. A stale or
+    # shared buffer would leave one job's values in another's result.
+    work = {}
+    for scheme, jobs, target in cases:
+        want = [interface_point_values(u, axis, signs, scheme)
+                for u, axis, signs in jobs]
+        keep = [u.copy() for u, _, _ in jobs]
+        out = (np.empty((2, *jobs[0][0].shape)) if target == "out"
+               else jobs[0][0].base)
+        # A job names its negative signs by a mask, or by None when it
+        # has none, as the velocity caches them.
+        masks = [(u, axis, (signs < 0) if (signs < 0).any() else None)
+                 for u, axis, signs in jobs]
+        got = _reconstruct(masks, scheme, work, out)
+        for j in range(2):
+            assert np.shares_memory(got[j], out[j])
+            _assert_same_bits(out[j], want[j])
+            for buf in work.values():
+                assert not np.shares_memory(out[j], buf)
+            if target == "out":
+                _assert_same_bits(jobs[j][0], keep[j])
 
 
 # Window entries from the ranges where rounding order shows: exact zeros
