@@ -25,16 +25,17 @@ Each WENO contraction reconstructs its two interface sets in one call
 of reconstruct._reconstruct, which runs the jobs with a negative flux
 through one kernel pass together: contract_2form pairs (u, 0, flux_y)
 with (u, 1, flux_x), and contract_1form pairs (wx/h, 1, avg_x) with
-(wy/h, 0, avg_y). Each job carries its flux's negative-sign mask,
-which the velocity computes once. The reconstructions land in the
-result's two halves (2-form) or over the scaled planes (1-form, a
-"tmp" buffer of two planes), and are integrated there in place. The
-kernel's temporaries come from the workspace, or are fresh without
-one; no result of a contraction lives in them. The upwind products
-c * flux * w[up] are computed as w[up] *= (c * flux) on the freshly
-read values, and a sum of products times c as (sum) *= c; a swap of
-the two operands of one * or + is exact in IEEE arithmetic, so the bits
-are those of the written formulas.
+(wy/h, 0, avg_y). Each job carries its flux's negative-sign mask
+(reconstruct._negative), which the velocity computes once. The
+reconstructions always land in the out array the contraction gives:
+the result's two halves (2-form) or the scaled planes themselves
+(1-form, a "tmp" buffer of two planes), and _integrate turns them into
+transport there in place. The kernel's temporaries come from the
+workspace, or are fresh without one; no result of a contraction lives
+in them. The upwind products c * flux * w[up] are computed as w[up] *=
+(c * flux) on the freshly read values, and a sum of products times c
+as (sum) *= c; a swap of the two operands of one * or + is exact in
+IEEE arithmetic, so the bits are those of the written formulas.
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
@@ -44,7 +45,8 @@ paths read through _upwind: a direction with no negative flux reads
 the same neighbour at every face, a periodic shift copied by one
 np.concatenate of two blocks; any other direction gathers through its
 flat index. Both copy the same values, so the bits do not depend on
-the read.
+the read. Which side is upwind follows reconstruct._negative: a flux
+of -0.0 reads the positive side, as +0.0 does.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ class ContractionResult:
     dt: float
 
 
-def _integrate(r, flux, dt: float, h: float, out):
-    """((r * flux) * dt) / h, written into out (which may be r itself)."""
-    np.multiply(r, flux, out=out)
-    out *= dt
-    out /= h
-    return out
+def _integrate(r, flux, dt: float, h: float) -> None:
+    """((r * flux) * dt) / h, written over r."""
+    r *= flux
+    r *= dt
+    r /= h
 
 
 def _upwind(plane, read, out):
@@ -116,9 +117,9 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
         neg_x, neg_y = vel._face_negative
         _reconstruct([(u, 0, neg_y), (u, 1, neg_x)], scheme, work,
                      out.values.reshape(2, *grid.shape))
-        _integrate(ex, vel.flux_y, dt, grid.h, ex)
+        _integrate(ex, vel.flux_y, dt, grid.h)
         ex *= -1.0
-        _integrate(ey, vel.flux_x, dt, grid.h, ey)
+        _integrate(ey, vel.flux_x, dt, grid.h)
     return out
 
 
@@ -152,8 +153,8 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                       out=scratch(work, "tmp", (2, *grid.shape)))
         neg_x, neg_y = vel._node_negative
         _reconstruct([(u[0], 1, neg_x), (u[1], 0, neg_y)], scheme, work, u)
-        _integrate(u[0], avg_x, dt, grid.h, u[0])
-        _integrate(u[1], avg_y, dt, grid.h, u[1])
+        _integrate(u[0], avg_x, dt, grid.h)
+        _integrate(u[1], avg_y, dt, grid.h)
         node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
     return Cochain(grid, 0, node.ravel())
 
@@ -163,8 +164,9 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
              work: dict | None = None) -> ContractionResult:
     if vel.grid != omega.grid:
         raise ValueError("velocity and form live on different grids")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    # Written so that nan fails the comparisons too.
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     nu = max_courant(vel, dt)
     if nu > 1.0:
         raise CourantError(f"courant number {nu:.6g} exceeds the hard limit 1")

@@ -40,11 +40,19 @@ forms.scratch hands buffers out of, one per (role, shape):
     block;
   - "pad": the wrapped copy of a job's plane.
 Jobs with a negative sign share one pass; each one-signed job runs a
-pass of its own on views of its wrapped copy. The results go into the
-caller's out array, so no result lives in the workspace, and the
-workspace holds nothing between calls that a later call relies on. One
-workspace must not be used by two calls at once: one advect call owns
-its workspace, and no workspace is module-level or shared by threads.
+pass of its own on views of its wrapped copy. The results always go
+into the caller's out array, so no result lives in the workspace, and
+the workspace holds nothing between calls that a later call relies on.
+One workspace must not be used by two calls at once: one advect call
+owns its workspace, and no workspace is module-level or shared by
+threads. The public interface_point_values is a one-job call with no
+workspace: its temporaries are fresh, and its result is a fresh
+C-ordered plane.
+
+Which window an interface takes is decided by _negative, the one
+statement of the sign rule: a flow sign below 0.0 reads the mirrored
+window, and every other sign, -0.0 included, reads the window as-is.
+The velocity's upwind reads and WENO masks use it too.
 """
 
 from __future__ import annotations
@@ -306,8 +314,15 @@ def extrusion_integral(stencil: Stencil1D, scheme: SchemeKind,
     """Amount swept through one interface during dt.
 
     The stencil holds 1-D averages (integral values divided by h); the
-    result is back in integral units: ((value * flux) * dt) / h.
+    result is back in integral units: ((value * flux) * dt) / h. flux
+    must be finite, and dt and h positive and finite.
     """
+    # Written so that nan fails the comparisons too.
+    if not -np.inf < flux < np.inf:
+        raise ValueError(f"flux must be finite, got {flux!r}")
+    if not (0.0 < dt < np.inf and 0.0 < h < np.inf):
+        raise ValueError(
+            f"dt and h must be positive and finite, got dt={dt!r}, h={h!r}")
     if flux == 0.0:
         return 0.0
     nu = abs(flux) * dt / h ** 2
@@ -328,32 +343,48 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     index of its downwind-side cell when flow points up the axis). signs
     gives the flow direction per interface; zeros (either sign of zero)
     fall back to the positive-direction value, which callers null out
-    with the zero flux. signs must have the plane's shape.
+    with the zero flux. u must be a 2-D plane of numbers, read as
+    float64, and signs must have its shape.
 
     This is one job of _reconstruct with no workspace: every temporary
-    and the result are fresh arrays. When no sign is negative and axis
-    is 1, the result is the transpose of a C-ordered array (see
-    _reconstruct).
+    and the result are fresh arrays, and the result is a C-ordered
+    float64 plane.
     """
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
-    if np.shape(signs) != u.shape:
-        raise ValueError(
-            f"signs shape {np.shape(signs)} != plane shape {u.shape}")
-    neg = signs < 0
-    return _reconstruct([(u, axis, neg if neg.any() else None)], scheme)[0]
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise ValueError(f"plane must be 2-D, got shape {u.shape}")
+    signs = np.asarray(signs)
+    if signs.shape != u.shape:
+        raise ValueError(f"signs shape {signs.shape} != plane shape {u.shape}")
+    out = np.empty(u.shape)
+    _reconstruct([(u, axis, _negative(signs))], scheme, None, out[None])
+    return out
 
 
-def _reconstruct(jobs, scheme: SchemeKind, work: dict | None = None,
-                 out: np.ndarray | None = None) -> list:
-    """Interface values of one or two jobs of one plane shape.
+def _negative(signs: np.ndarray) -> np.ndarray | None:
+    """Where signs < 0.0, as a read-only mask; None when no sign is.
+
+    The sign rule of every upwind choice: -0.0 is not negative, so an
+    interface with a zero flux of either sign takes the positive side.
+    """
+    neg = signs < 0.0
+    if not neg.any():
+        return None
+    neg.flags.writeable = False
+    return neg
+
+
+def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
+                 out: np.ndarray) -> None:
+    """Interface values of one or two jobs of one plane shape, into out.
 
     A job is (u, axis, neg): the plane of cell averages, the axis of its
-    interfaces, and the mask of interfaces whose flow sign is negative,
-    or None when no sign is (zeros of either sign count as positive).
-    Each interface is reconstructed once from shifts 0..width of its
-    plane (see _shifts): the positive window is shifts 0..width-1 and
-    the negative window is shifts width..1.
+    interfaces, and its _negative mask of the flow signs. Each interface
+    is reconstructed once from shifts 0..width of its plane (see
+    _shifts): the positive window is shifts 0..width-1 and the negative
+    window is shifts width..1.
 
     The jobs with a mask share one kernel pass: window m of the k-th of
     them is plane k of a (width, jobs, ny, nx) buffer, filled with shift
@@ -366,35 +397,26 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None = None,
 
     With a workspace the wrapped copies, windows and kernel temporaries
     are its buffers (forms.scratch roles "pad", "window" and "weno",
-    each keyed by shape), fetched once per pass; without one they are
+    each keyed by shape), fetched once per pass; with work None they are
     fresh arrays. Job j's result goes into out[j], a (jobs, ny, nx)
     array that may be the jobs' own planes stacked: job j's plane is
-    read before its result is written, and no other job reads it. Only
-    without a workspace may out be None; each result is then a fresh
-    array, transposed for a one-signed job along axis 1. Returns the
-    results, in job order.
+    read before its result is written, and no other job reads it.
     """
     width = scheme.stencil_width
-    results = [None] * len(jobs)
     mixed = []
     for j, (u, axis, neg) in enumerate(jobs):
         _require_extent(u.shape[axis], scheme)
         if neg is not None:
             mixed.append((j, u, axis, neg))
-            continue
-        dest = None if out is None else out[j]
-        if axis == 0:
-            r = _left_biased(scheme, _shifts(u, 0, width, work)[:width],
-                             _slots(work, scheme, u.shape), dest)
+        elif axis == 0:
+            _left_biased(scheme, _shifts(u, 0, width, work)[:width],
+                         _slots(work, scheme, u.shape), out[j])
         else:
-            r = _left_biased(scheme, _shifts(u.T, 0, width, work)[:width],
-                             _slots(work, scheme, u.T.shape)).T
-            # One transposing copy: a kernel writing into dest.T would
+            # One transposing copy: a kernel writing into out[j].T would
             # make each of its last ufuncs a strided write.
-            if dest is not None:
-                np.copyto(dest, r)
-                r = dest
-        results[j] = r
+            np.copyto(out[j], _left_biased(
+                scheme, _shifts(u.T, 0, width, work)[:width],
+                _slots(work, scheme, u.T.shape)).T)
     if mixed:
         shape = (len(mixed),) + jobs[0][0].shape
         windows = scratch(work, "window", (width,) + shape)
@@ -403,11 +425,8 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None = None,
             np.copyto(windows[:, k], shifts[:width])
             np.copyto(windows[:, k], shifts[width:0:-1], where=neg)
         lo = mixed[0][0]
-        dest = None if out is None else out[lo:lo + len(mixed)]
-        r = _left_biased(scheme, windows, _slots(work, scheme, shape), dest)
-        for k, (j, *_) in enumerate(mixed):
-            results[j] = r[k]
-    return results
+        _left_biased(scheme, windows, _slots(work, scheme, shape),
+                     out[lo:lo + len(mixed)])
 
 
 def _shifts(u: np.ndarray, axis: int, width: int,
@@ -416,7 +435,7 @@ def _shifts(u: np.ndarray, axis: int, width: int,
 
     Shift s holds cell k - c - 1 + s at interface k, c = (width - 1) // 2.
     Every shift is a view into one wrapped copy of u, the workspace's
-    "pad" buffer of that shape (or a fresh array without a workspace):
+    "pad" buffer of that shape (a fresh array when work is None):
     consecutive shifts lie one step along axis apart in it.
     """
     n = u.shape[axis]
@@ -424,8 +443,7 @@ def _shifts(u: np.ndarray, axis: int, width: int,
     shape = list(u.shape)
     shape[axis] += width
     padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap",
-                    out=None if work is None
-                    else scratch(work, "pad", tuple(shape)))
+                    out=scratch(work, "pad", tuple(shape)))
     # A view by the ndarray constructor: padded is C-contiguous. numpy's
     # as_strided (numpy 2.4) costs about 5 us more per call, and its
     # memory traced by tracemalloc grows by about 10 bytes per call.

@@ -36,6 +36,13 @@ DEFAULT_SCHEMES = (SchemeKind.UPWIND, SchemeKind.WENO7)
 # is a configuration error, not a run that never ends.
 MAX_STEPS = 10 ** 7
 
+# Per-scheme courant targets used when a scenario sets no base_dt. The
+# explicit one-increment update tolerates a large number for
+# piecewise-constant transport but needs real slack for the high-order
+# reconstructions.
+COURANT_PC = 0.45
+COURANT_WENO = 0.05
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -46,11 +53,6 @@ class Scenario:
     schemes: tuple[SchemeKind, ...] = DEFAULT_SCHEMES
     duration: float = 1.0         # per leg for reversed runs
     base_dt: Optional[float] = None   # dt at resolutions[0], scaled with h
-    # Per-scheme courant targets used when base_dt is None. The explicit
-    # one-increment update tolerates a large number for piecewise-constant
-    # transport but needs real slack for the high-order reconstructions.
-    courant_pc: float = 0.45
-    courant_weno: float = 0.05
     reverse: bool = False
     dumps: int = 0                # intermediate dump count (start/end always)
     steps: Optional[int] = None   # explicit per-leg step count override
@@ -169,8 +171,7 @@ def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
         peak = vel._peak_flux
         if peak == 0.0:
             return scenario.duration, 1
-        target = (scenario.courant_pc if scheme is SchemeKind.UPWIND
-                  else scenario.courant_weno)
+        target = COURANT_PC if scheme is SchemeKind.UPWIND else COURANT_WENO
         raw = target * h ** 2 / peak
     try:
         steps = max(1, round(scenario.duration / raw))

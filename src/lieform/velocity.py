@@ -17,7 +17,8 @@ use, and reused by every later step. Each of the four upwind
 selections (x and y faces, x and y nodes) is decided once: a direction
 with no negative sign reads its upwind entries as one periodic shift
 and holds no index plane; any other direction keeps a flat gather
-index.
+index. Every one of these choices follows reconstruct._negative, so
+-0.0 counts as positive everywhere.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridComplex2D, shifted
+from .reconstruct import _negative
 
 
 def _read_only(plane: np.ndarray) -> np.ndarray:
@@ -40,28 +42,22 @@ def _upwind_read(signs: np.ndarray, di: int,
                  dj: int) -> tuple[int, int] | np.ndarray:
     """How each interface of a plane reads its upwind entry.
 
-    Where signs >= 0.0 (so -0.0 counts as positive) the upwind entry is
-    the one a step (-di, -dj) back; elsewhere it is the entry itself.
-    When no sign is negative, that entry is the same neighbour at every
-    interface, a periodic shift back by one along the step's axis. The
-    read is then (axis, k): the upwind plane joins the plane's blocks
-    [k:] and [:k] along axis, with k = extent - 1. Otherwise it is the
-    flat index of each upwind entry, for ndarray.take. The index stays
-    writable: take copies a read-only index array on every call.
+    Where a sign is negative (by reconstruct._negative) the upwind
+    entry is the entry itself; elsewhere it is the one a step (-di, -dj)
+    back. When no sign is negative, that entry is the same neighbour at
+    every interface, a periodic shift back by one along the step's
+    axis. The read is then (axis, k): the upwind plane joins the
+    plane's blocks [k:] and [:k] along axis, with k = extent - 1.
+    Otherwise it is the flat index of each upwind entry, for
+    ndarray.take. The index stays writable: take copies a read-only
+    index array on every call.
     """
-    up = signs >= 0.0
-    if up.all():
+    neg = _negative(signs)
+    if neg is None:
         axis = 1 if di else 0
         return axis, signs.shape[axis] - 1
     own = np.arange(signs.size).reshape(signs.shape)
-    return np.where(up, shifted(own, di=-di, dj=-dj), own)
-
-
-def _negative(signs: np.ndarray) -> np.ndarray | None:
-    """Where signs < 0.0 (so -0.0 is not negative), as a read-only mask;
-    None when no sign is negative."""
-    neg = signs < 0.0
-    return _read_only(neg) if neg.any() else None
+    return np.where(neg, own, shifted(own, di=-di, dj=-dj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +112,7 @@ class StaggeredVelocity:
         """Upwind reads of the x and y edges of each vertex, by sum sign.
 
         The sums are unhalved: halving a tiny negative sum can round to
-        -0.0, which would flip its >= 0 test.
+        -0.0, which _negative counts as positive.
         """
         sum_x, sum_y = self._node_sums
         return _upwind_read(sum_x, 1, 0), _upwind_read(sum_y, 0, 1)

@@ -6,6 +6,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.advection import AdvectionConfig, advect, lie_increment, step
@@ -15,7 +18,8 @@ from lieform.forms import Cochain, NonFiniteValueError, axpy
 from lieform.grid import build_complex
 from lieform.reconstruct import CourantError, SchemeKind
 from lieform.scenarios import split_fv_step
-from lieform.velocity import StaggeredVelocity
+from lieform.velocity import (StaggeredVelocity, StreamFunctionVelocity,
+                              discretize_velocity)
 
 
 def _setup(rng, nx=8, ny=8, h=0.25, scale=0.5):
@@ -81,11 +85,46 @@ def test_increment_0form_is_transported_gradient():
     assert np.array_equal(inc.plane(), np.array(node))
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])
-def test_step_2form_matches_split_fv(scheme):
+@st.composite
+def _fv_cases(draw):
+    # An nx != ny grid at or just above the scheme's stencil minimum (and
+    # the grid's own minimum of 4), a stream-function flux and a cell
+    # field. Stream values drawn from a few exact levels, both zeros
+    # among them, make fluxes of exactly 0.0 and -0.0 (-0.0 - 0.0 is
+    # -0.0), so the sign rule's edge is hit on both axes.
+    scheme = draw(st.sampled_from(list(SchemeKind)))
+    low = max(4, scheme.stencil_width + 1)
+    ny = low + draw(st.integers(0, 2))
+    nx = draw(st.sampled_from([n for n in range(low, low + 4) if n != ny]))
+    level = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+    psi = draw(hnp.arrays(np.float64, (ny, nx), fill=st.nothing(),
+                          elements=st.one_of(level, st.floats(-1.0, 1.0))))
+    grid = build_complex(nx, ny, 0.25)
+    # |flux| <= 0.25: a Courant number of at most 0.2 at dt 0.05, h 0.25
+    vel = discretize_velocity(
+        StreamFunctionVelocity(lambda x, y: 0.125 * psi), grid)
+    rho = draw(hnp.arrays(np.float64, (ny, nx), elements=st.floats(-1e3, 1e3)))
+    return scheme, vel.flux_x, vel.flux_y, rho
+
+
+def _seeded_fv_case(scheme):
     rng = np.random.default_rng(227)
     g, vel = _setup(rng, 9, 8)
-    w = Cochain.from_plane(g, 2, rng.standard_normal(g.shape))
+    return scheme, vel.flux_x, vel.flux_y, rng.standard_normal(g.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_cases())
+@example(_seeded_fv_case(SchemeKind.UPWIND))
+@example(_seeded_fv_case(SchemeKind.WENO7))
+def test_step_2form_matches_split_fv(case):
+    # The degree-2 step reconstructs both interface sets in one batched
+    # pass; flux differencing calls the public one-job reconstruction on
+    # each, whatever the signs. Five steps must agree bit for bit.
+    scheme, flux_x, flux_y, rho = case
+    g = build_complex(rho.shape[1], rho.shape[0], 0.25)
+    vel = StaggeredVelocity(g, flux_x, flux_y)
+    w = Cochain.from_plane(g, 2, rho)
     dt = 0.05
     config = AdvectionConfig(dt, 1, scheme)
     fv = w

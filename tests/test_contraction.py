@@ -264,6 +264,15 @@ def test_contract_guards():
     fast = StaggeredVelocity(g, np.full(g.shape, H), np.zeros(g.shape))
     with pytest.raises(CourantError):
         contract(w, fast, 2.0 * H)
+    # On a zero velocity the Courant number of an infinite dt is nan,
+    # which no limit catches; the dt check must.
+    still = StaggeredVelocity(g, np.zeros(g.shape), np.zeros(g.shape))
+    w1 = Cochain.from_components(g, np.ones(g.shape), np.ones(g.shape))
+    for scheme in (SchemeKind.UPWIND, SchemeKind.WENO7):
+        for dt in (np.inf, np.nan):
+            for form in (w, w1):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    contract(form, still, dt, scheme)
 
 
 @pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])

@@ -18,8 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
-                                 _left_biased, _reconstruct, _weno5_parts,
-                                 _weno7_parts, extrusion_integral,
+                                 _left_biased, _negative, _reconstruct,
+                                 _weno5_parts, _weno7_parts,
+                                 extrusion_integral,
                                  interface_point_values,
                                  reconstruct_at_interface)
 from reference import reconstruction_weights, smoothness_indicators
@@ -166,6 +167,20 @@ def test_extrusion_courant_guard():
     s = Stencil1D((1.0,), 1)
     with pytest.raises(CourantError):
         extrusion_integral(s, SchemeKind.UPWIND, flux=0.5, dt=0.1, h=0.1)
+
+
+@pytest.mark.parametrize("flux,dt,h", [
+    (math.nan, 0.001, 0.1), (math.inf, 0.001, 0.1), (-math.inf, 0.001, 0.1),
+    (0.5, math.nan, 0.1), (0.5, math.inf, 0.1), (0.5, -0.001, 0.1),
+    (0.5, 0.0, 0.1), (0.5, 0.001, math.nan), (0.5, 0.001, math.inf),
+    (0.5, 0.001, -0.1), (0.5, 0.001, 0.0), (0.0, math.nan, 0.1),
+    (0.0, 0.001, -0.1),
+])
+def test_extrusion_rejects_bad_numbers(flux, dt, h):
+    # before the zero-flux shortcut, so a bad dt or h never passes silently
+    s = Stencil1D((1.0,), 1)
+    with pytest.raises(ValueError, match="finite"):
+        extrusion_integral(s, SchemeKind.UPWIND, flux=flux, dt=dt, h=h)
 
 
 def test_extrusion_sign_mismatch():
@@ -342,11 +357,9 @@ def test_batched_pass_matches_single_calls(cases):
                else jobs[0][0].base)
         # A job names its negative signs by a mask, or by None when it
         # has none, as the velocity caches them.
-        masks = [(u, axis, (signs < 0) if (signs < 0).any() else None)
-                 for u, axis, signs in jobs]
-        got = _reconstruct(masks, scheme, work, out)
+        masks = [(u, axis, _negative(signs)) for u, axis, signs in jobs]
+        assert _reconstruct(masks, scheme, work, out) is None
         for j in range(2):
-            assert np.shares_memory(got[j], out[j])
             _assert_same_bits(out[j], want[j])
             for buf in work.values():
                 assert not np.shares_memory(out[j], buf)
@@ -432,6 +445,8 @@ def test_interface_point_values_leaves_read_only_input(scheme, pattern):
     for axis in (0, 1):
         got = interface_point_values(u, axis, signs, scheme)
         again = interface_point_values(u, axis, signs, scheme)
+        # one layout for every axis and sign pattern
+        assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.flags.writeable
         assert not np.shares_memory(got, u)
         assert not np.shares_memory(got, again)
@@ -450,6 +465,22 @@ def test_interface_point_values_guards():
                                SchemeKind.WENO5)
     with pytest.raises(ValueError):
         interface_point_values(u, 2, signs, SchemeKind.UPWIND)
+    # a plane of any other number type, or nested lists, is read as
+    # float64, and signs may be nested lists too
+    ints = np.arange(48).reshape(8, 6) % 5
+    for scheme in SchemeKind:
+        want = interface_point_values(ints.astype(np.float64), 0, signs,
+                                      scheme)
+        for plane, sg in ((ints, signs), (ints.tolist(), signs.tolist())):
+            got = interface_point_values(plane, 0, sg, scheme)
+            assert got.dtype == np.float64
+            _assert_same_bits(got, want)
+    # a plane must be 2-D, whatever the axis
+    for bad in (np.zeros(8), np.zeros((2, 8, 6)), np.float64(1.0)):
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match="^plane must be 2-D"):
+                interface_point_values(bad, axis, np.ones(np.shape(bad)),
+                                       SchemeKind.WENO5)
 
 
 @pytest.mark.parametrize("signs", [
