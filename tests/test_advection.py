@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -113,15 +113,10 @@ def _seeded_fv_case(scheme):
     return scheme, vel.flux_x, vel.flux_y, rng.standard_normal(g.shape)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_fv_cases())
-@example(_seeded_fv_case(SchemeKind.UPWIND))
-@example(_seeded_fv_case(SchemeKind.WENO7))
-def test_step_2form_matches_split_fv(case):
+def _assert_step_2form_matches_split_fv(scheme, flux_x, flux_y, rho):
     # The degree-2 step reconstructs both interface sets in one batched
     # pass; flux differencing calls the public one-job reconstruction on
     # each, whatever the signs. Five steps must agree bit for bit.
-    scheme, flux_x, flux_y, rho = case
     g = build_complex(rho.shape[1], rho.shape[0], 0.25)
     vel = StaggeredVelocity(g, flux_x, flux_y)
     w = Cochain.from_plane(g, 2, rho)
@@ -132,6 +127,17 @@ def test_step_2form_matches_split_fv(case):
         w = step(w, vel, config)
         fv = split_fv_step(fv, vel, dt, scheme)
         assert np.array_equal(w.plane(), fv.plane())
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])
+def test_step_2form_matches_split_fv(scheme):
+    _assert_step_2form_matches_split_fv(*_seeded_fv_case(scheme))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fv_cases())
+def test_step_2form_matches_split_fv_drawn(case):
+    _assert_step_2form_matches_split_fv(*case)
 
 
 def _flux_setup(flux, degree, seed):
