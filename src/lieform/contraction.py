@@ -39,13 +39,13 @@ IEEE arithmetic, so the bits are those of the written formulas.
 
 A velocity's flux arrays are read-only and its upwind sides are fixed,
 so the flux-derived data used here (node fluxes and their unhalved sums,
-how each upwind entry is read, the peak flux behind the Courant guard)
-is computed once per velocity and reused by every step. The upwind
-paths read through _upwind: a direction with no negative flux reads
-the same neighbour at every face, a periodic shift copied by one
-np.concatenate of two blocks; any other direction gathers through its
-flat index. Both copy the same values, so the bits do not depend on
-the read. Which side is upwind follows reconstruct._negative: a flux
+the masks of their negative signs, the peak flux behind the Courant
+guard) is computed once per velocity and reused by every step. The
+upwind paths read through _upwind, as the WENO windows are filled: a
+periodic shift of the plane (one np.concatenate of two blocks), then,
+in a direction with a negative sign, a copy of the plane itself over
+it where the mask is set. A direction with no negative sign is one
+block copy. Which side is upwind follows reconstruct._negative: a flux
 of -0.0 reads the positive side, as +0.0 does.
 """
 
@@ -75,46 +75,47 @@ def _integrate(r, flux, dt: float, h: float) -> None:
     r /= h
 
 
-def _upwind(plane, read, out):
-    """The upwind entry of every interface, as the velocity reads it.
+def _upwind(plane, axis: int, neg, out):
+    """The upwind entry of every interface of plane, into out.
 
-    read is a periodic shift (axis, k), which joins the plane's blocks
-    [k:] and [:k] along axis, or a flat gather index; out is filled and
-    returned.
+    That is the entry one step back along axis, or, where the mask neg
+    is set, the entry itself. The step back is a periodic shift that
+    joins the plane's blocks [k:] and [:k], k = extent - 1, in one
+    np.concatenate; out is always a fresh or workspace buffer, so it
+    skips shifted's shape and overlap checks. A mask then copies the
+    plane over it.
     """
-    if isinstance(read, tuple):
-        axis, k = read
-        if axis == 0:
-            return np.concatenate((plane[k:], plane[:k]), out=out)
-        return np.concatenate((plane[:, k:], plane[:, :k]), axis=1, out=out)
-    # mode="wrap" lets take fill out directly (the default "raise"
-    # buffers it); the cached indices are all in range.
-    return plane.take(read, out=out, mode="wrap")
+    k = plane.shape[axis] - 1
+    if axis == 0:
+        np.concatenate((plane[k:], plane[:k]), out=out)
+    else:
+        np.concatenate((plane[:, k:], plane[:, :k]), axis=1, out=out)
+    if neg is not None:
+        np.copyto(out, plane, where=neg)
+    return out
 
 
 def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                    scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """Transport swept through each edge, as a 1-form.
 
-    The upwind path reads each face's upwind cell as the velocity
-    fixes on first use: a shift where no flux is negative, a gather
-    elsewhere.
+    The upwind path reads each face's upwind cell by the sign of its
+    flux, through the velocity's face masks.
     """
     grid = omega.grid
     w = omega.plane()
     out = Cochain(grid, 1, np.empty(2 * grid.size))
     ex, ey = out.component("x"), out.component("y")
+    neg_x, neg_y = vel._face_negative
     if scheme is SchemeKind.UPWIND:
-        up_x, up_y = vel._face_upwind
         c = dt / grid.h ** 2
         coef = scratch(work, "tmp", grid.shape)
-        _upwind(w, up_y, ex)
+        _upwind(w, 0, neg_y, ex)
         ex *= np.multiply(-c, vel.flux_y, out=coef)
-        _upwind(w, up_x, ey)
+        _upwind(w, 1, neg_x, ey)
         ey *= np.multiply(c, vel.flux_x, out=coef)
     else:
         u = np.divide(w, grid.h, out=scratch(work, "tmp", grid.shape))
-        neg_x, neg_y = vel._face_negative
         _reconstruct([(u, 0, neg_y), (u, 1, neg_x)], scheme, work,
                      out.values.reshape(2, *grid.shape))
         _integrate(ex, vel.flux_y, dt, grid.h)
@@ -129,20 +130,18 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
 
     Fluxes are averaged onto the vertex lattice (two-point transverse
     means); the upwind edge flips with the averaged flux sign. The
-    upwind path reads that sign from the unhalved sums, which the
-    velocity computes once, as it fixes how the upwind edge of every
-    vertex is read: a shift where no sum is negative, a gather
-    elsewhere.
+    upwind path reads that sign from the masks of the unhalved sums,
+    which the velocity computes once.
     """
     grid = omega.grid
     wx = omega.component("x")
     wy = omega.component("y")
     if scheme is SchemeKind.UPWIND:
         sum_x, sum_y = vel._node_sums
-        up_x, up_y = vel._node_upwind
-        node = _upwind(wx, up_x, scratch(work, "form", grid.shape))
+        neg_x, neg_y = vel._sum_negative
+        node = _upwind(wx, 1, neg_x, scratch(work, "form", grid.shape))
         node *= sum_x
-        part = _upwind(wy, up_y, scratch(work, "tmp", grid.shape))
+        part = _upwind(wy, 0, neg_y, scratch(work, "tmp", grid.shape))
         part *= sum_y
         node += part
         node *= dt / (2.0 * grid.h ** 2)

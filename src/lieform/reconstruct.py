@@ -344,7 +344,7 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     gives the flow direction per interface; zeros (either sign of zero)
     fall back to the positive-direction value, which callers null out
     with the zero flux. u must be a 2-D plane of numbers, read as
-    float64, and signs must have its shape.
+    float64, and signs must be finite and have its shape.
 
     This is one job of _reconstruct with no workspace: every temporary
     and the result are fresh arrays, and the result is a C-ordered
@@ -358,6 +358,8 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     signs = np.asarray(signs)
     if signs.shape != u.shape:
         raise ValueError(f"signs shape {signs.shape} != plane shape {u.shape}")
+    if not np.isfinite(signs).all():
+        raise ValueError("signs must be finite")
     out = np.empty(u.shape)
     _reconstruct([(u, axis, _negative(signs))], scheme, None, out[None])
     return out

@@ -10,15 +10,15 @@ fluxes telescopes to zero (up to roundoff of the psi values themselves).
 
 A StaggeredVelocity is immutable: it holds read-only copies of its flux
 arrays, so everything derived from them (the peak flux behind the
-Courant number, the node-averaged fluxes, the upwind side of every
-face and node, and the masks of negative face and averaged node fluxes
-that pick the WENO windows) is computed once per velocity, on first
-use, and reused by every later step. Each of the four upwind
-selections (x and y faces, x and y nodes) is decided once: a direction
-with no negative sign reads its upwind entries as one periodic shift
-and holds no index plane; any other direction keeps a flat gather
-index. Every one of these choices follows reconstruct._negative, so
--0.0 counts as positive everywhere.
+Courant number, the node-averaged fluxes and their unhalved sums, and
+the masks of negative signs) is computed once per velocity, on first
+use, and reused by every later step. The masks are bool planes, or
+None for a direction with no negative sign: the face masks pick both
+the WENO windows and the upwind reads of a cell plane, the masks of
+the averaged node fluxes pick the WENO windows of an edge plane, and
+those of the unhalved node sums its upwind reads. Every one of them
+follows reconstruct._negative, so -0.0 counts as positive everywhere.
+A velocity holds no integer index plane.
 """
 
 from __future__ import annotations
@@ -36,28 +36,6 @@ from .reconstruct import _negative
 def _read_only(plane: np.ndarray) -> np.ndarray:
     plane.flags.writeable = False
     return plane
-
-
-def _upwind_read(signs: np.ndarray, di: int,
-                 dj: int) -> tuple[int, int] | np.ndarray:
-    """How each interface of a plane reads its upwind entry.
-
-    Where a sign is negative (by reconstruct._negative) the upwind
-    entry is the entry itself; elsewhere it is the one a step (-di, -dj)
-    back. When no sign is negative, that entry is the same neighbour at
-    every interface, a periodic shift back by one along the step's
-    axis. The read is then (axis, k): the upwind plane joins the
-    plane's blocks [k:] and [:k] along axis, with k = extent - 1.
-    Otherwise it is the flat index of each upwind entry, for
-    ndarray.take. The index stays writable: take copies a read-only
-    index array on every call.
-    """
-    neg = _negative(signs)
-    if neg is None:
-        axis = 1 if di else 0
-        return axis, signs.shape[axis] - 1
-    own = np.arange(signs.size).reshape(signs.shape)
-    return np.where(neg, own, shifted(own, di=-di, dj=-dj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +71,11 @@ class StaggeredVelocity:
 
     @cached_property
     def _face_negative(self) -> tuple:
-        """Negative-flux masks of the x and y faces, for WENO windows."""
+        """Negative-flux masks of the x and y faces.
+
+        They pick both the WENO windows and the upwind reads of a cell
+        plane.
+        """
         return _negative(self.flux_x), _negative(self.flux_y)
 
     @cached_property
@@ -102,20 +84,13 @@ class StaggeredVelocity:
         return tuple(_negative(f) for f in self._node_fluxes)
 
     @cached_property
-    def _face_upwind(self) -> tuple:
-        """Upwind reads of the x and y faces of a cell plane, by flux sign."""
-        return (_upwind_read(self.flux_x, 1, 0),
-                _upwind_read(self.flux_y, 0, 1))
-
-    @cached_property
-    def _node_upwind(self) -> tuple:
-        """Upwind reads of the x and y edges of each vertex, by sum sign.
+    def _sum_negative(self) -> tuple:
+        """Negative masks of the node sums, for upwind reads.
 
         The sums are unhalved: halving a tiny negative sum can round to
         -0.0, which _negative counts as positive.
         """
-        sum_x, sum_y = self._node_sums
-        return _upwind_read(sum_x, 1, 0), _upwind_read(sum_y, 0, 1)
+        return tuple(_negative(s) for s in self._node_sums)
 
     def divergence(self) -> np.ndarray:
         """Net outflow per cell; identically ~0 for admissible fields.

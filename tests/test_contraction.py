@@ -54,12 +54,12 @@ def _one_signed_setups(rng, nx, ny):
     """Velocities whose upwind reads shift in some directions, by name.
 
     Each comes with the read kind it must give for the x and y faces
-    and the x and y node sums: a shift where no sign is negative (so
-    -0.0 counts as positive), a gather elsewhere. A direction whose
-    faces have one sign also has node sums of that sign, so faces that
-    shift beside sums that gather occur across directions (x one-signed,
-    y mixed); the reverse, mixed faces under one-signed sums, occurs per
-    direction.
+    and the x and y node sums: a bare shift where no sign is negative
+    (so -0.0 counts as positive), a shift overwritten through a mask
+    elsewhere. A direction whose faces have one sign also has node sums
+    of that sign, so faces that shift beside masked sums occur across
+    directions (x one-signed, y mixed); the reverse, mixed faces under
+    one-signed sums, occurs per direction.
     """
     g = build_complex(nx, ny, H)
 
@@ -75,33 +75,37 @@ def _one_signed_setups(rng, nx, ny):
     fx[0, :] = -0.1 * H
     fy[:, 0] = -0.1 * H
     zeros_and_positive = np.array([0.0, -0.0, 0.3 * H])
-    shift, gather = "shift", "gather"
+    shift, masked = "shift", "masked"
     return g, [
         ("constant positive", full(0.7 * H), full(0.4 * H), (shift,) * 4),
-        ("constant negative", full(-0.7 * H), full(-0.4 * H), (gather,) * 4),
+        ("constant negative", full(-0.7 * H), full(-0.4 * H), (masked,) * 4),
         ("constant, y negative", full(0.5 * H), full(-0.25 * H),
-         (shift, gather, shift, gather)),
+         (shift, masked, shift, masked)),
         ("zeros and positive", rng.choice(zeros_and_positive, g.shape),
          rng.choice(zeros_and_positive, g.shape), (shift,) * 4),
+        ("all +0.0", full(0.0), full(0.0), (shift,) * 4),
         ("all -0.0", full(-0.0), full(-0.0), (shift,) * 4),
         ("x one-signed, y mixed", full(0.5 * H), mixed(),
-         (shift, gather, shift, gather)),
+         (shift, masked, shift, masked)),
         ("faces mixed, sums one-signed", fx, fy,
-         (gather, gather, shift, shift)),
+         (masked, masked, shift, shift)),
     ]
 
 
 def _read_kinds(vel):
-    """'shift' or 'gather' for the x/y face and x/y node upwind reads."""
+    """'shift' or 'masked' for the x/y face and x/y node upwind reads.
+
+    A direction with a negative sign holds its mask, a read-only bool
+    plane of the grid's shape; any other holds None and reads one shift.
+    """
     kinds = []
-    for read in (*vel._face_upwind, *vel._node_upwind):
-        if isinstance(read, tuple):
+    for neg in (*vel._face_negative, *vel._sum_negative):
+        if neg is None:
             kinds.append("shift")
             continue
-        assert read.shape == vel.grid.shape and read.dtype == np.intp
-        # ndarray.take would copy a read-only index on every call
-        assert read.flags.writeable
-        kinds.append("gather")
+        assert neg.shape == vel.grid.shape and neg.dtype == np.bool_
+        assert not neg.flags.writeable
+        kinds.append("masked")
     return tuple(kinds)
 
 

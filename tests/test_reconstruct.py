@@ -481,6 +481,15 @@ def test_interface_point_values_guards():
             with pytest.raises(ValueError, match="^plane must be 2-D"):
                 interface_point_values(bad, axis, np.ones(np.shape(bad)),
                                        SchemeKind.WENO5)
+    # a non-finite sign has no side: NaN would read as positive
+    for bad in (np.nan, np.inf, -np.inf):
+        sg = signs.copy()
+        sg[2, 3] = bad
+        for scheme in SchemeKind:
+            for axis in (0, 1):
+                with pytest.raises(ValueError, match="^signs must be finite$"):
+                    interface_point_values(u.T if axis else u, axis,
+                                           sg.T if axis else sg, scheme)
 
 
 @pytest.mark.parametrize("signs", [

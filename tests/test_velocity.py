@@ -151,3 +151,23 @@ def test_reused_velocity_matches_fresh_objects():
                 assert got.tobytes() == want.tobytes()
             assert (max_courant(shared, dt)
                     == max_courant(StaggeredVelocity(g, fx, fy), dt))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_upwind_steps_cache_no_index_plane(degree):
+    # Upwind reads are shifts overwritten through bool sign masks, so a
+    # velocity caches no integer plane, whichever degree it advected.
+    g = build_complex(9, 8, 0.25)
+    rng = np.random.default_rng(23)
+    vel = StaggeredVelocity(g, rng.uniform(-1.0, 1.0, g.shape) * 0.125,
+                            rng.uniform(-1.0, 1.0, g.shape) * 0.125)
+    omega = Cochain(g, degree, rng.standard_normal(g.cell_count(degree)))
+    step(omega, vel, AdvectionConfig(0.05, 1, SchemeKind.UPWIND))
+    cached = []
+    for value in vars(vel).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                cached.append(item)
+    assert any(plane.dtype == np.bool_ for plane in cached)
+    for plane in cached:
+        assert not np.issubdtype(plane.dtype, np.integer), plane.dtype
