@@ -37,6 +37,7 @@ state, with either scheme; a 2-form step also allocates contraction's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +49,11 @@ from .forms import Cochain, NonFiniteValueError, _check_finite
 from .forms import axpy  # noqa: F401
 from .reconstruct import CourantError, SchemeKind, _require_extent
 from .velocity import StaggeredVelocity, max_courant
+
+
+def _is_count(n) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,9 @@ class AdvectionConfig:
             object.__setattr__(self, "scheme", SchemeKind.from_name(self.scheme))
         if not (self.dt > 0.0 and self.dt < float("inf")):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (isinstance(self.steps, int) and self.steps >= 0):
+        if not (_is_count(self.steps) and self.steps >= 0):
             raise ValueError(f"steps must be a non-negative integer, got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))
         if not 0.0 < self.courant_limit <= 1.0:
             raise ValueError(
                 f"courant_limit must lie in (0, 1], got {self.courant_limit}")

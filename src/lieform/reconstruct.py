@@ -5,11 +5,22 @@ ordered from the upwind side toward the downwind side, produce the point
 value at the interface between the window's center cell and its downwind
 neighbour. Flow toward higher index uses the window as-is; flow toward
 lower index uses the mirrored window, which callers build by reversing
-the read direction. The plane path reconstructs every interface of a
-plane in one kernel pass: the width + 1 wrapped shifts of the plane hold
-both upwind windows, and each interface picks its window from them by
-its own flow sign. A plane whose flow has no negative sign along axis 1
-is reconstructed on its transpose along axis 0, so every shift is a
+the read direction.
+
+_reconstruct is the one code that reads the interfaces of a plane, for
+every scheme; the contractions and the public interface_point_values
+call it. Piecewise-constant upwinding is its width-1 case: the window is
+the upwind entry alone, so the read is a periodic shift of the plane
+(one np.concatenate of two blocks into the caller's output), then, where
+the flow sign is negative, a copy of the plane itself over it
+(np.copyto with the sign mask). A direction with no negative sign is one
+block copy. The output must not overlap the plane, since np.concatenate
+would read blocks it has already overwritten. A WENO pass reconstructs
+every interface of a plane in one kernel pass: the width + 1 wrapped
+shifts of the plane hold both upwind windows, and each interface picks
+its window from them by its own flow sign, in the same shift-then-mask
+order. A plane whose flow has no negative sign along axis 1 is
+reconstructed on its transpose along axis 0, so every shift is a
 contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
@@ -33,26 +44,27 @@ written: every chain starts in a slot of its own.
 
 Workspace contract (see advection.py for who owns the workspace).
 _reconstruct takes one or two jobs and a workspace, a dict that
-forms.scratch hands buffers out of, one per (role, shape):
+forms.scratch hands buffers out of, one per (role, shape). A WENO pass
+uses three roles:
   - "weno": the kernel temporaries of one pass, one block of slots of
     the pass's shape (7 for WENO5, 9 for WENO7), fetched once per pass;
   - "window": the windows of a mixed pass, one (width, jobs, ny, nx)
     block;
   - "pad": the wrapped copy of a job's plane.
-Jobs with a negative sign share one pass; each one-signed job runs a
-pass of its own on views of its wrapped copy. The results always go
-into the caller's out array, so no result lives in the workspace, and
-the workspace holds nothing between calls that a later call relies on.
-One workspace must not be used by two calls at once: one advect call
-owns its workspace, and no workspace is module-level or shared by
-threads. The public interface_point_values is a one-job call with no
-workspace: its temporaries are fresh, and its result is a fresh
-C-ordered plane.
+An upwind read takes nothing from the workspace. WENO jobs with a
+negative sign share one pass; each one-signed job runs a pass of its
+own on views of its wrapped copy. The results always go into the
+caller's out, so no result lives in the workspace, and the workspace
+holds nothing between calls that a later call relies on. One workspace
+must not be used by two calls at once: one advect call owns its
+workspace, and no workspace is module-level or shared by threads. The
+public interface_point_values is a one-job call with no workspace: its
+temporaries are fresh, and its result is a fresh C-ordered plane.
 
 Which window an interface takes is decided by _negative, the one
 statement of the sign rule: a flow sign below 0.0 reads the mirrored
 window, and every other sign, -0.0 included, reads the window as-is.
-The velocity's upwind reads and WENO masks use it too.
+The velocity's masks, and so every read, use it.
 """
 
 from __future__ import annotations
@@ -92,7 +104,11 @@ class SchemeKind(enum.Enum):
 
     @property
     def stencil_width(self) -> int:
-        return {SchemeKind.UPWIND: 1, SchemeKind.WENO5: 5, SchemeKind.WENO7: 7}[self]
+        return _STENCIL_WIDTH[self._value_]
+
+
+# Keyed by value: a str hashes in C, an enum member through Python code.
+_STENCIL_WIDTH = {"upwind": 1, "weno5": 5, "weno7": 7}
 
 
 @dataclass(frozen=True)
@@ -127,11 +143,11 @@ def _ops(x) -> tuple:
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
-# How many buffers a pass of each scheme takes from its slots: one per
-# smoothness indicator and per candidate, and the product slot (last).
-# WENO7's indicators run a second chain in the first candidate's slot,
-# which is free until the candidates start.
-_SLOTS = {SchemeKind.UPWIND: 0, SchemeKind.WENO5: 7, SchemeKind.WENO7: 9}
+# How many buffers a WENO pass takes from its slots: one per smoothness
+# indicator and per candidate, and the product slot (last). WENO7's
+# indicators run a second chain in the first candidate's slot, which is
+# free until the candidates start.
+_SLOTS = {SchemeKind.WENO5: 7, SchemeKind.WENO7: 9}
 _FRESH = (None,) * _SLOTS[SchemeKind.WENO7]
 
 
@@ -249,22 +265,19 @@ def _weno7_parts(v0, v1, v2, v3, v4, v5, v6, slots=_FRESH):
 def _parts(scheme: SchemeKind, window, slots):
     if scheme is SchemeKind.WENO5:
         return _weno5_parts(*window, slots), _D5
-    if scheme is SchemeKind.WENO7:
-        return _weno7_parts(*window, slots), _D7
-    raise ValueError(f"scheme {scheme.value} has no candidate decomposition")
+    return _weno7_parts(*window, slots), _D7
 
 
 def _left_biased(scheme: SchemeKind, window, slots=_FRESH, out=None):
     """Interface value from an upwind-ordered window.
 
     The temporaries go into slots, and the result into out, or else
-    into the first term's slot; a slot of None makes a new value.
+    into the first term's slot; a slot of None makes a new value. An
+    upwind window is a scalar one here (_reconstruct reads upwind
+    planes itself), and its value is its one entry.
     """
     if scheme is SchemeKind.UPWIND:
-        if out is None:
-            return window[0]
-        np.copyto(out, window[0])
-        return out
+        return window[0]
     (betas, cands), dopt = _parts(scheme, window, slots)
     _, add, _, div, _ = _ops(betas[0])
     # SMOOTH_EPS + b is computed as b += SMOOTH_EPS, and each alpha goes
@@ -379,36 +392,50 @@ def _negative(signs: np.ndarray) -> np.ndarray | None:
 
 
 def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
-                 out: np.ndarray) -> None:
+                 out) -> None:
     """Interface values of one or two jobs of one plane shape, into out.
 
-    A job is (u, axis, neg): the plane of cell averages, the axis of its
-    interfaces, and its _negative mask of the flow signs. Each interface
-    is reconstructed once from shifts 0..width of its plane (see
-    _shifts): the positive window is shifts 0..width-1 and the negative
-    window is shifts width..1.
+    A job is (u, axis, neg): the plane of cell averages (or of integral
+    values: an upwind read only copies), the axis of its interfaces, and
+    its _negative mask of the flow signs. Job j's result goes into
+    out[j].
 
-    The jobs with a mask share one kernel pass: window m of the k-th of
-    them is plane k of a (width, jobs, ny, nx) buffer, filled with shift
-    m and then, where the mask is set, with shift width - m, so every
-    ufunc of the pass covers both jobs. A job without a mask runs a pass
-    of its own on the shifts themselves, which are views and cost no
-    copy; along axis 1 it runs on the transpose of its plane, so each
-    shift is a contiguous block of rows, and the elementwise kernel
-    gives the same bits in either layout.
+    Upwind: out[j] is the entry one step back along axis, a periodic
+    shift that joins the plane's blocks [k:] and [:k], k = extent - 1,
+    in one np.concatenate; where the mask is set, np.copyto then copies
+    the plane itself over it. out may be any sequence of planes, and no
+    workspace buffer is used. out[j] must not overlap job j's plane:
+    np.concatenate would read blocks it has already overwritten.
 
-    With a workspace the wrapped copies, windows and kernel temporaries
-    are its buffers (forms.scratch roles "pad", "window" and "weno",
-    each keyed by shape), fetched once per pass; with work None they are
-    fresh arrays. Job j's result goes into out[j], a (jobs, ny, nx)
-    array that may be the jobs' own planes stacked: job j's plane is
-    read before its result is written, and no other job reads it.
+    WENO: each interface is reconstructed once from shifts 0..width of
+    its plane (see _shifts): the positive window is shifts 0..width-1
+    and the negative window is shifts width..1. The jobs with a mask
+    share one kernel pass: window m of the k-th of them is plane k of a
+    (width, jobs, ny, nx) buffer, filled with shift m and then, where
+    the mask is set, with shift width - m, so every ufunc of the pass
+    covers both jobs. A job without a mask runs a pass of its own on the
+    shifts themselves, which are views and cost no copy; along axis 1 it
+    runs on the transpose of its plane, so each shift is a contiguous
+    block of rows, and the elementwise kernel gives the same bits in
+    either layout. With a workspace the wrapped copies, windows and
+    kernel temporaries are its buffers (forms.scratch roles "pad",
+    "window" and "weno", each keyed by shape), fetched once per pass;
+    with work None they are fresh arrays. out is a (jobs, ny, nx) array
+    that may be the jobs' own planes stacked: job j's plane is read
+    before its result is written, and no other job reads it.
     """
     width = scheme.stencil_width
     mixed = []
     for j, (u, axis, neg) in enumerate(jobs):
         _require_extent(u.shape[axis], scheme)
-        if neg is not None:
+        if width == 1:
+            # Upwind: the window is the upwind entry alone.
+            k = u.shape[axis] - 1
+            blocks = (u[k:], u[:k]) if axis == 0 else (u[:, k:], u[:, :k])
+            read = np.concatenate(blocks, axis=axis, out=out[j])
+            if neg is not None:
+                np.copyto(read, u, where=neg)
+        elif neg is not None:
             mixed.append((j, u, axis, neg))
         elif axis == 0:
             _left_biased(scheme, _shifts(u, 0, width, work)[:width],

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .advection import AdvectionConfig, advect
+from .advection import AdvectionConfig, _is_count, advect
 # Unused here, but perfbench's CLI workloads patch lieform.scenarios.step.
 from .advection import step  # noqa: F401
 from .forms import AnalyticForm, Cochain, RectangleForm, axpy, discretize, norm
@@ -61,6 +61,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.resolutions:
             raise ValueError("scenario needs at least one resolution")
+        for n in self.resolutions:
+            if not _is_count(n):
+                raise ValueError(f"scenario resolutions must be integers, got {n!r}")
+        object.__setattr__(self, "resolutions", tuple(int(n) for n in self.resolutions))
         if any(n < 8 for n in self.resolutions):
             raise ValueError("scenario resolutions must be at least 8")
         # Written so that nan fails the comparisons too.
@@ -68,9 +72,13 @@ class Scenario:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if self.base_dt is not None and not 0.0 < self.base_dt < np.inf:
             raise ValueError(f"time step must be positive and finite, got {self.base_dt!r}")
-        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], "
-                             f"got {self.steps!r}")
+        if self.steps is not None:
+            if not _is_count(self.steps):
+                raise ValueError(f"step count must be an integer, got {self.steps!r}")
+            if not 1 <= self.steps <= MAX_STEPS:
+                raise ValueError(f"step count must lie in [1, {MAX_STEPS}], "
+                                 f"got {self.steps!r}")
+            object.__setattr__(self, "steps", int(self.steps))
 
 
 _BUILTINS = {
@@ -115,12 +123,14 @@ def builtin_scenario(name: str) -> Scenario:
 def apply_overrides(scenario: Scenario, resolutions=None, dt=None,
                     steps=None, scheme=None) -> Scenario:
     changes = {}
+    # Counts pass through as given: Scenario rejects a non-integer one
+    # rather than truncating it.
     if resolutions is not None:
-        changes["resolutions"] = tuple(int(n) for n in resolutions)
+        changes["resolutions"] = tuple(resolutions)
     if dt is not None:
         changes["base_dt"] = float(dt)
     if steps is not None:
-        changes["steps"] = int(steps)
+        changes["steps"] = steps
     if scheme is not None:
         changes["schemes"] = (SchemeKind.from_name(scheme),)
     return dataclasses.replace(scenario, **changes) if changes else scenario

@@ -18,7 +18,6 @@ the WENO windows and the upwind reads of a cell plane, the masks of
 the averaged node fluxes pick the WENO windows of an edge plane, and
 those of the unhalved node sums its upwind reads. Every one of them
 follows reconstruct._negative, so -0.0 counts as positive everywhere.
-A velocity holds no integer index plane.
 """
 
 from __future__ import annotations

@@ -40,6 +40,12 @@ def test_config_validation():
         AdvectionConfig(0.1, -1)
     with pytest.raises(ValueError):
         AdvectionConfig(0.1, 1.5)
+    # A bool is not a step count; any other integer, numpy's too, is,
+    # and is kept as a Python int.
+    with pytest.raises(ValueError, match="got True$"):
+        AdvectionConfig(0.1, True)
+    steps = AdvectionConfig(0.1, np.int64(5)).steps
+    assert steps == 5 and type(steps) is int
     with pytest.raises(ValueError):
         AdvectionConfig(0.1, 5, courant_limit=0.0)
     with pytest.raises(ValueError):
@@ -198,6 +204,11 @@ def test_operators_return_fresh_values(degree, scheme, flux):
             assert np.shares_memory(out, form)
     else:
         assert not np.shares_memory(worked[0], worked[1])
+    if scheme is SchemeKind.UPWIND:
+        # An upwind read takes no WENO buffer: its node terms are the
+        # "form" and "tmp" planes, and its c * flux planes "tmp".
+        assert {role for role, _ in work} == {0: set(), 1: {"form", "tmp"},
+                                             2: {"tmp"}}[degree]
     pooled = [buf for key, buf in work.items() if key[0] != "form"]
     for out in worked:
         for other in held + outs + pooled:

@@ -1,5 +1,6 @@
 """Scenario driver, artifact layout, slope fits, and the CLI surface."""
 
+import re
 import shutil
 import subprocess
 from argparse import ArgumentTypeError
@@ -53,11 +54,30 @@ def test_scenario_validation(tmp_path, monkeypatch):
         with pytest.raises(ValueError):
             Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), steps=bad_steps)
+    # A resolution or step count that is not an integer, or is a bool,
+    # is named in the error; numpy integers are kept as Python ints.
+    for bad_res in (8.5, np.float64(16.0), True):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad_res!r}") + "$"):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(16, bad_res))
+    for bad_steps in (True, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad_steps!r}") + "$"):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(8,), steps=bad_steps)
+    sc = Scenario(name="x", form="rect1", velocity="zero",
+                  resolutions=[np.int64(8), 16], steps=np.int32(3))
+    assert sc.resolutions == (8, 16) and sc.steps == 3
+    assert all(type(n) is int for n in (*sc.resolutions, sc.steps))
     base = builtin_scenario("square-translate")
     with pytest.raises(ValueError):
         apply_overrides(base, dt=0.0)
     with pytest.raises(ValueError):
         apply_overrides(base, steps=0)
+    # Overrides reach the same checks instead of being truncated.
+    with pytest.raises(ValueError, match=r"got 8\.5$"):
+        apply_overrides(base, resolutions=[16, 8.5])
+    with pytest.raises(ValueError, match=r"got 2\.5$"):
+        apply_overrides(base, steps=2.5)
     # Only the finer leg exceeds the step limit (dt halves with h, so it
     # needs about 1.3e7 steps against 6.7e6 at 8^2); it must fail before
     # any run starts or any directory is made.
