@@ -8,8 +8,7 @@ and reduces to plain finite-volume transport at the top degree.
 """
 
 from .advection import AdvectionConfig, advect, lie_increment, step
-from .contraction import (ContractionResult, contract, contract_1form,
-                          contract_2form)
+from .contraction import ContractionResult, contract
 from .derivative import exterior_derivative
 from .forms import (AnalyticForm, Cochain, NonFiniteValueError, RectangleForm,
                     axpy, discretize, norm)
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvectionConfig", "advect", "lie_increment", "step",
-    "ContractionResult", "contract", "contract_1form", "contract_2form",
+    "ContractionResult", "contract",
     "exterior_derivative",
     "AnalyticForm", "Cochain", "NonFiniteValueError", "RectangleForm",
     "axpy", "discretize", "norm",

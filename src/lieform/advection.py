@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contraction import contract
+from .contraction import _require_same_grid, contract
 from .derivative import exterior_derivative
 from .forms import Cochain, NonFiniteValueError, _check_finite
 # Unused here, but perfbench wraps lieform.advection.axpy.
@@ -64,8 +64,7 @@ class AdvectionConfig:
     courant_limit: float = 0.5
 
     def __post_init__(self) -> None:
-        if isinstance(self.scheme, str):
-            object.__setattr__(self, "scheme", SchemeKind.from_name(self.scheme))
+        object.__setattr__(self, "scheme", SchemeKind.from_name(self.scheme))
         if not (self.dt > 0.0 and self.dt < float("inf")):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (_is_count(self.steps) and self.steps >= 0):
@@ -76,17 +75,28 @@ class AdvectionConfig:
                 f"courant_limit must lie in (0, 1], got {self.courant_limit}")
 
 
+def _check_courant(vel: StaggeredVelocity, config: AdvectionConfig) -> None:
+    nu = max_courant(vel, config.dt)
+    if nu > config.courant_limit:
+        raise CourantError(
+            f"courant number {nu:.6g} exceeds the configured "
+            f"limit {config.courant_limit:g}")
+
+
+def _at_step(err: Exception, k: int, config: AdvectionConfig,
+             grid) -> Exception:
+    """err's type, its message prefixed with the step, scheme and grid."""
+    return type(err)(f"step {k} ({config.scheme.value}, "
+                     f"{grid.nx}x{grid.ny}): {err}")
+
+
 def lie_increment(omega: Cochain, vel: StaggeredVelocity,
                   config: AdvectionConfig, work: dict | None = None) -> Cochain:
     """Single-step transport increment (Cartan assembly), any degree.
 
     The increment is a fresh buffer, also when a workspace is passed.
     """
-    nu = max_courant(vel, config.dt)
-    if nu > config.courant_limit:
-        raise CourantError(
-            f"courant number {nu:.6g} exceeds the configured "
-            f"limit {config.courant_limit:g}")
+    _check_courant(vel, config)
     a = contract(exterior_derivative(omega, work), vel, config.dt,
                  config.scheme, work).cochain
     b = exterior_derivative(
@@ -112,18 +122,26 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
            observer: Optional[Callable[[int, Cochain], None]] = None) -> Cochain:
     """Run config.steps updates; the observer sees state 0 first.
 
-    A grid too small for the scheme's stencil raises ValueError before
-    the observer is called. A CourantError or NonFiniteValueError raised
-    by step k is re-raised as the same type, its message prefixed with
-    the step, scheme and grid size: "step k (scheme, NXxNY): ...". Each
-    step calls the module-level step, so a replaced one is the one that
-    runs. This is the library's only step loop; the lockstep equivalence
-    scenario runs through it with an observer. The call's workspace is
-    made here and passed to every step; the observer sees only fresh
-    states.
+    The run is checked before the observer is called: a grid too small
+    for the scheme's stencil, or a velocity on another grid, raises
+    ValueError, and a Courant number above config.courant_limit raises
+    CourantError. A CourantError or NonFiniteValueError raised by step k
+    is re-raised as the same type, its message prefixed with the step,
+    scheme and grid size: "step k (scheme, NXxNY): ..."; the Courant
+    check before the loop reads as step 1's. Each step calls the
+    module-level step, so a replaced one is the one that runs, and it
+    still makes its own checks. This is the library's only step loop;
+    the lockstep equivalence scenario runs through it with an observer.
+    The call's workspace is made here and passed to every step; the
+    observer sees only fresh states.
     """
     grid = omega.grid
     _require_extent(min(grid.nx, grid.ny), config.scheme)
+    _require_same_grid(omega, vel)
+    try:
+        _check_courant(vel, config)
+    except CourantError as err:
+        raise _at_step(err, 1, config, grid) from err
     state = omega
     work: dict = {}
     if observer is not None:
@@ -132,8 +150,7 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
         try:
             state = step(state, vel, config, work)
         except (CourantError, NonFiniteValueError) as err:
-            raise type(err)(f"step {k} ({config.scheme.value}, "
-                            f"{grid.nx}x{grid.ny}): {err}") from err
+            raise _at_step(err, k, config, grid) from err
         if observer is not None:
             observer(k, state)
     return state

@@ -6,13 +6,16 @@ empty degree -1 (geometrically zero) and the flagged degree-3 empty
 contracts to a genuine zero 2-form, so the advection assembly treats all
 degrees uniformly.
 
-Each contraction reads its two interface sets in one call of
-reconstruct._reconstruct, whatever the scheme (reconstruct.py says how
-an interface is read); the scheme picks only what goes in and the
-arithmetic after the read. contract_2form pairs (w, 0, flux_y) with
-(w, 1, flux_x), and contract_1form pairs (wx, 1, x node flux) with
-(wy, 0, y node flux), each job with its flux's negative-sign mask,
-which the velocity computes once.
+contract is the one public entry. It resolves the scheme and checks
+the grid match, dt, the grid's extent against the stencil and the
+Courant number, once per call; the bodies below it, _contract_2form and
+_contract_1form, check nothing. Each body reads its two interface sets
+in one call of reconstruct._reconstruct, whatever the scheme
+(reconstruct.py says how an interface is read); the scheme picks only
+what goes in and the arithmetic after the read. _contract_2form pairs
+(w, 0, flux_y) with (w, 1, flux_x), and _contract_1form pairs (wx, 1,
+x node flux) with (wy, 0, y node flux), each job with its flux's
+negative-sign mask, which the velocity computes once.
 
 The piecewise-constant paths read integral values and keep every
 product and sum in the exact order of the reference loop formulation;
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Cochain, scratch
-from .reconstruct import CourantError, SchemeKind, _reconstruct
+from .reconstruct import (CourantError, SchemeKind, _reconstruct,
+                          _require_extent)
 # Unused here, but perfbench wraps lieform.contraction.interface_point_values.
 from .reconstruct import interface_point_values  # noqa: F401
 from .velocity import StaggeredVelocity, average_to_node, max_courant
@@ -54,6 +58,11 @@ class ContractionResult:
     dt: float
 
 
+def _require_same_grid(omega: Cochain, vel: StaggeredVelocity) -> None:
+    if vel.grid != omega.grid:
+        raise ValueError("velocity and form live on different grids")
+
+
 def _integrate(r, flux, dt: float, h: float) -> None:
     """((r * flux) * dt) / h, written over r."""
     r *= flux
@@ -61,8 +70,8 @@ def _integrate(r, flux, dt: float, h: float) -> None:
     r /= h
 
 
-def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                   scheme: SchemeKind, work: dict | None = None) -> Cochain:
+def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
+                    scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """Transport swept through each edge, as a 1-form.
 
     Each face reads its upwind cell by the sign of its flux, through the
@@ -89,8 +98,8 @@ def contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     return Cochain(grid, 1, planes.ravel())
 
 
-def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                   scheme: SchemeKind, work: dict | None = None) -> Cochain:
+def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
+                    scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """Transport of edge values onto vertices, as a 0-form.
 
     Fluxes are averaged onto the vertex lattice (two-point transverse
@@ -131,22 +140,24 @@ def contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
              scheme: SchemeKind = SchemeKind.UPWIND,
              work: dict | None = None) -> ContractionResult:
-    if vel.grid != omega.grid:
-        raise ValueError("velocity and form live on different grids")
+    scheme = SchemeKind.from_name(scheme)
+    grid = omega.grid
+    _require_same_grid(omega, vel)
     # Written so that nan fails the comparisons too.
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    _require_extent(min(grid.nx, grid.ny), scheme)
     nu = max_courant(vel, dt)
     if nu > 1.0:
         raise CourantError(f"courant number {nu:.6g} exceeds the hard limit 1")
     if omega.degree == 2:
-        out = contract_2form(omega, vel, dt, scheme, work)
+        out = _contract_2form(omega, vel, dt, scheme, work)
     elif omega.degree == 1:
-        out = contract_1form(omega, vel, dt, scheme, work)
+        out = _contract_1form(omega, vel, dt, scheme, work)
     elif omega.degree == 0:
-        out = Cochain.empty(omega.grid, -1)     # degree drops below 0
-    elif omega.degree == 3 and omega.is_empty:
-        out = Cochain.zeros(omega.grid, 2)
+        out = Cochain.empty(grid, -1)     # degree drops below 0
+    elif omega.degree == 3:
+        out = Cochain.zeros(grid, 2)
     else:
         raise ValueError(f"cannot contract degree {omega.degree}")
     return ContractionResult(out, dt)

@@ -16,6 +16,11 @@ Index conventions shared by every module in this package:
 
 Plane arrays are shaped (ny, nx) and indexed [j, i]; a C-order ravel of a
 plane is exactly the canonical order of that block.
+
+Every periodic shift of a plane is written once, in _roll_into: one
+np.concatenate of two blocks into a given array. The public shifted
+wraps it with fresh arrays; d and the upwind read call it directly on
+their own buffers and check nothing there.
 """
 
 from __future__ import annotations
@@ -111,32 +116,37 @@ def build_complex(nx: int, ny: int, h: float) -> GridComplex2D:
     return GridComplex2D(int(nx), int(ny), float(h))
 
 
-def shifted(plane: np.ndarray, di: int = 0, dj: int = 0,
-            out: np.ndarray | None = None) -> np.ndarray:
+def shifted(plane: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
     """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx].
 
-    A shift along one axis (or none, after whole multiples of the extent
-    are dropped) is one np.concatenate of the plane's two blocks along
-    that axis; a diagonal shift copies four block slices. As with a
-    numpy ufunc, out names the array to fill and return (a fresh one
-    when None); it must have the plane's shape and must not overlap it.
+    The result is a fresh array. A shift along one axis (or none, after
+    whole multiples of the extent are dropped) is one _roll_into; a
+    diagonal shift is two, through a second array.
     """
     ny, nx = plane.shape
     dj %= ny
     di %= nx
-    if out is None:
-        out = np.empty_like(plane)
-    elif out.shape != plane.shape or np.may_share_memory(out, plane):
-        raise ValueError("out must have the plane's shape and not overlap it")
+    out = np.empty_like(plane)
     if not di:
-        return np.concatenate((plane[dj:], plane[:dj]), axis=0, out=out)
+        return _roll_into(plane, dj, 0, out)
     if not dj:
-        return np.concatenate((plane[:, di:], plane[:, :di]), axis=1, out=out)
-    out[:ny - dj, :nx - di] = plane[dj:, di:]
-    out[:ny - dj, nx - di:] = plane[dj:, :di]
-    out[ny - dj:, :nx - di] = plane[:dj, di:]
-    out[ny - dj:, nx - di:] = plane[:dj, :di]
-    return out
+        return _roll_into(plane, di, 1, out)
+    return _roll_into(_roll_into(plane, dj, 0, out), di, 1,
+                      np.empty_like(plane))
+
+
+def _roll_into(plane: np.ndarray, k: int, axis: int,
+               out: np.ndarray) -> np.ndarray:
+    """out[..., i, ...] = plane[..., i + k, ...] along axis, 0 <= k < n.
+
+    One np.concatenate of the plane's blocks [k:] and [:k] into out,
+    which it returns. Nothing is checked: out must have the plane's
+    shape and must not overlap it, since np.concatenate would read
+    blocks it has already overwritten.
+    """
+    blocks = ((plane[k:], plane[:k]) if axis == 0
+              else (plane[:, k:], plane[:, :k]))
+    return np.concatenate(blocks, axis=axis, out=out)
 
 
 def boundary_chain(grid: GridComplex2D, ref: CellRef) -> list[tuple[int, int]]:

@@ -9,19 +9,22 @@ the read direction.
 
 _reconstruct is the one code that reads the interfaces of a plane, for
 every scheme; the contractions and the public interface_point_values
-call it. Piecewise-constant upwinding is its width-1 case: the window is
-the upwind entry alone, so the read is a periodic shift of the plane
-(one np.concatenate of two blocks into the caller's output), then, where
-the flow sign is negative, a copy of the plane itself over it
-(np.copyto with the sign mask). A direction with no negative sign is one
-block copy. The output must not overlap the plane, since np.concatenate
-would read blocks it has already overwritten. A WENO pass reconstructs
-every interface of a plane in one kernel pass: the width + 1 wrapped
-shifts of the plane hold both upwind windows, and each interface picks
-its window from them by its own flow sign, in the same shift-then-mask
-order. A plane whose flow has no negative sign along axis 1 is
-reconstructed on its transpose along axis 0, so every shift is a
-contiguous block of rows.
+call it. It checks nothing: the public entries (interface_point_values,
+reconstruct_at_interface, contraction.contract and advection.advect)
+resolve the scheme and check the extent, and _reconstruct and the WENO
+kernel below it only compute. Piecewise-constant upwinding is its
+width-1 case: the window is the upwind entry alone, so the read is a
+periodic shift of the plane (grid._roll_into, one np.concatenate of two
+blocks into the caller's output), then, where the flow sign is
+negative, a copy of the plane itself over it (np.copyto with the sign
+mask). A direction with no negative sign is one block copy. The output
+must not overlap the plane, since np.concatenate would read blocks it
+has already overwritten. A WENO pass reconstructs every interface of a
+plane in one kernel pass: the width + 1 wrapped shifts of the plane
+hold both upwind windows, and each interface picks its window from them
+by its own flow sign, in the same shift-then-mask order. A plane whose
+flow has no negative sign along axis 1 is reconstructed on its
+transpose along axis 0, so every shift is a contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
 instead of powers) so the scalar kernel and the vectorized plane path
@@ -75,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import scratch
+from .grid import _roll_into
 
 SMOOTH_EPS = 1e-6
 
@@ -95,7 +99,14 @@ class SchemeKind(enum.Enum):
     WENO7 = "weno7"
 
     @classmethod
-    def from_name(cls, name: str) -> "SchemeKind":
+    def from_name(cls, name) -> "SchemeKind":
+        """A member as it is, a scheme's name as its member.
+
+        Anything else raises ValueError naming the options. A member
+        passes an isinstance test, not an Enum lookup, which costs more.
+        """
+        if isinstance(name, cls):
+            return name
         try:
             return cls(name)
         except ValueError:
@@ -125,7 +136,7 @@ class Stencil1D:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if len(self.values) not in (1, 5, 7):
+        if len(self.values) not in _STENCIL_WIDTH.values():
             raise ValueError(f"unsupported window width {len(self.values)}")
 
 
@@ -143,12 +154,8 @@ def _ops(x) -> tuple:
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
-# How many buffers a WENO pass takes from its slots: one per smoothness
-# indicator and per candidate, and the product slot (last). WENO7's
-# indicators run a second chain in the first candidate's slot, which is
-# free until the candidates start.
-_SLOTS = {SchemeKind.WENO5: 7, SchemeKind.WENO7: 9}
-_FRESH = (None,) * _SLOTS[SchemeKind.WENO7]
+# Slots of None, enough for a pass of either WENO scheme (see _WENO).
+_FRESH = (None,) * 9
 
 
 def _beta5(curv, slope):
@@ -262,23 +269,22 @@ def _weno7_parts(v0, v1, v2, v3, v4, v5, v6, slots=_FRESH):
     return tuple(betas), (p0, p1, p2, p3)
 
 
-def _parts(scheme: SchemeKind, window, slots):
-    if scheme is SchemeKind.WENO5:
-        return _weno5_parts(*window, slots), _D5
-    return _weno7_parts(*window, slots), _D7
+# Each WENO scheme, keyed by its value: its parts function, its optimal
+# weights, and how many buffers a pass takes from its slots (one per
+# smoothness indicator and per candidate, and the product slot, last).
+# WENO7's indicators run a second chain in the first candidate's slot,
+# which is free until the candidates start.
+_WENO = {"weno5": (_weno5_parts, _D5, 7), "weno7": (_weno7_parts, _D7, 9)}
 
 
 def _left_biased(scheme: SchemeKind, window, slots=_FRESH, out=None):
-    """Interface value from an upwind-ordered window.
+    """WENO interface value from an upwind-ordered window.
 
     The temporaries go into slots, and the result into out, or else
-    into the first term's slot; a slot of None makes a new value. An
-    upwind window is a scalar one here (_reconstruct reads upwind
-    planes itself), and its value is its one entry.
+    into the first term's slot; a slot of None makes a new value.
     """
-    if scheme is SchemeKind.UPWIND:
-        return window[0]
-    (betas, cands), dopt = _parts(scheme, window, slots)
+    parts, dopt, _ = _WENO[scheme._value_]
+    betas, cands = parts(*window, slots)
     _, add, _, div, _ = _ops(betas[0])
     # SMOOTH_EPS + b is computed as b += SMOOTH_EPS, and each alpha goes
     # into its indicator's slot.
@@ -317,8 +323,14 @@ def _require_extent(n: int, scheme: SchemeKind) -> None:
 
 
 def reconstruct_at_interface(stencil: Stencil1D, scheme: SchemeKind) -> float:
-    """Point value at the window's downwind interface."""
+    """Point value at the window's downwind interface.
+
+    An upwind window's value is its one entry.
+    """
+    scheme = SchemeKind.from_name(scheme)
     _require_width(len(stencil.values), scheme)
+    if scheme is SchemeKind.UPWIND:
+        return float(stencil.values[0])
     return float(_left_biased(scheme, stencil.values))
 
 
@@ -330,6 +342,7 @@ def extrusion_integral(stencil: Stencil1D, scheme: SchemeKind,
     result is back in integral units: ((value * flux) * dt) / h. flux
     must be finite, and dt and h positive and finite.
     """
+    scheme = SchemeKind.from_name(scheme)
     # Written so that nan fails the comparisons too.
     if not -np.inf < flux < np.inf:
         raise ValueError(f"flux must be finite, got {flux!r}")
@@ -361,13 +374,16 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
 
     This is one job of _reconstruct with no workspace: every temporary
     and the result are fresh arrays, and the result is a C-ordered
-    float64 plane.
+    float64 plane. The checks are made here, the plane's extent along
+    axis among them; _reconstruct makes none.
     """
+    scheme = SchemeKind.from_name(scheme)
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"plane must be 2-D, got shape {u.shape}")
+    _require_extent(u.shape[axis], scheme)
     signs = np.asarray(signs)
     if signs.shape != u.shape:
         raise ValueError(f"signs shape {signs.shape} != plane shape {u.shape}")
@@ -398,11 +414,12 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
     A job is (u, axis, neg): the plane of cell averages (or of integral
     values: an upwind read only copies), the axis of its interfaces, and
     its _negative mask of the flow signs. Job j's result goes into
-    out[j].
+    out[j]. Nothing is checked: each job's extent along its axis must
+    exceed the stencil width, as the public entries make sure.
 
     Upwind: out[j] is the entry one step back along axis, a periodic
     shift that joins the plane's blocks [k:] and [:k], k = extent - 1,
-    in one np.concatenate; where the mask is set, np.copyto then copies
+    by grid._roll_into; where the mask is set, np.copyto then copies
     the plane itself over it. out may be any sequence of planes, and no
     workspace buffer is used. out[j] must not overlap job j's plane:
     np.concatenate would read blocks it has already overwritten.
@@ -427,12 +444,9 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
     width = scheme.stencil_width
     mixed = []
     for j, (u, axis, neg) in enumerate(jobs):
-        _require_extent(u.shape[axis], scheme)
         if width == 1:
             # Upwind: the window is the upwind entry alone.
-            k = u.shape[axis] - 1
-            blocks = (u[k:], u[:k]) if axis == 0 else (u[:, k:], u[:, :k])
-            read = np.concatenate(blocks, axis=axis, out=out[j])
+            read = _roll_into(u, u.shape[axis] - 1, axis, out[j])
             if neg is not None:
                 np.copyto(read, u, where=neg)
         elif neg is not None:
@@ -484,4 +498,4 @@ def _slots(work: dict | None, scheme: SchemeKind, shape: tuple) -> tuple:
     """A pass's kernel temporaries: workspace planes, or None for fresh."""
     if work is None:
         return _FRESH
-    return tuple(scratch(work, "weno", (_SLOTS[scheme],) + shape))
+    return tuple(scratch(work, "weno", (_WENO[scheme._value_][2],) + shape))

@@ -16,10 +16,13 @@ from lieform.contraction import contract
 from lieform.derivative import exterior_derivative
 from lieform.forms import Cochain, NonFiniteValueError, axpy
 from lieform.grid import build_complex
-from lieform.reconstruct import CourantError, SchemeKind
-from lieform.scenarios import split_fv_step
+from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
+                                 extrusion_integral, interface_point_values,
+                                 reconstruct_at_interface)
+from lieform.scenarios import COURANT_PC, COURANT_WENO, split_fv_step
 from lieform.velocity import (StaggeredVelocity, StreamFunctionVelocity,
-                              discretize_velocity)
+                              discretize_velocity, max_courant,
+                              rudman_vortex)
 
 
 def _setup(rng, nx=8, ny=8, h=0.25, scale=0.5):
@@ -309,6 +312,120 @@ def test_advect_checks_stencil_extent_first(scheme, shape, extent):
         advect(Cochain.zeros(g, 1), vel, AdvectionConfig(0.01, 3, scheme),
                observer=lambda k, w: seen.append(k))
     assert seen == []
+
+
+def test_advect_checks_the_run_before_state_0():
+    # the grid match and the Courant number are checked with the extent,
+    # before the observer sees anything, and read as they do from step 1
+    g = build_complex(9, 8, 0.25)
+    vel = StaggeredVelocity(g, np.full(g.shape, 0.25), np.zeros(g.shape))
+    w = Cochain.zeros(g, 1)
+    seen = []
+    with pytest.raises(CourantError,
+                       match=r"^step 1 \(weno7, 9x8\): courant number 1 "
+                             r"exceeds the configured limit 0\.5$"):
+        advect(w, vel, AdvectionConfig(0.25, 3, "weno7"),
+               observer=lambda k, state: seen.append(k))
+    with pytest.raises(CourantError, match=r"^step 1 \(upwind, 9x8\): "):
+        advect(w, vel, AdvectionConfig(0.25, 0, courant_limit=0.9),
+               observer=lambda k, state: seen.append(k))
+    other = build_complex(8, 9, 0.25)
+    with pytest.raises(ValueError,
+                       match="^velocity and form live on different grids$"):
+        advect(Cochain.zeros(other, 1), vel, AdvectionConfig(0.01, 3),
+               observer=lambda k, state: seen.append(k))
+    assert seen == []
+    # at the limit the run goes ahead
+    advect(w, vel, AdvectionConfig(0.25, 1, courant_limit=1.0),
+           observer=lambda k, state: seen.append(k))
+    assert seen == [0, 1]
+
+
+def test_every_public_entry_resolves_the_scheme_one_way():
+    g = build_complex(8, 8, 0.25)
+    rng = np.random.default_rng(257)
+    vel = StaggeredVelocity(g, rng.uniform(-0.01, 0.01, g.shape),
+                            rng.uniform(-0.01, 0.01, g.shape))
+    w = Cochain.from_components(g, rng.standard_normal(g.shape),
+                                rng.standard_normal(g.shape))
+    u, signs = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    window = Stencil1D((1.0, 2.0, 4.0, 3.0, 1.0), 1)
+    entries = (
+        lambda s: AdvectionConfig(0.01, 1, s),
+        lambda s: contract(w, vel, 0.01, s),
+        lambda s: interface_point_values(u, 0, signs, s),
+        lambda s: reconstruct_at_interface(window, s),
+        lambda s: extrusion_integral(window, s, 0.5, 0.01, 1.0),
+        lambda s: extrusion_integral(window, s, 0.0, 0.01, 1.0),
+    )
+    for entry in entries:
+        for bad in (None, 5, "weno9", "WENO5", ["weno5"]):
+            with pytest.raises(ValueError, match=r"^unknown scheme .* "
+                               r"\(options: upwind, weno5, weno7\)$"):
+                entry(bad)
+    # a name and its member give the same bits, and a member passes as it is
+    for scheme in SchemeKind:
+        assert SchemeKind.from_name(scheme) is scheme
+        assert AdvectionConfig(0.01, 1, scheme.value).scheme is scheme
+        assert np.array_equal(
+            contract(w, vel, 0.01, scheme.value).cochain.values,
+            contract(w, vel, 0.01, scheme).cochain.values)
+        assert np.array_equal(
+            interface_point_values(u, 1, signs, scheme.value),
+            interface_point_values(u, 1, signs, scheme))
+    five = SchemeKind.WENO5
+    assert (reconstruct_at_interface(window, "weno5")
+            == reconstruct_at_interface(window, five))
+    assert (extrusion_integral(window, "weno5", 0.5, 0.01, 1.0)
+            == extrusion_integral(window, five, 0.5, 0.01, 1.0))
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("flow", ["vortex", "rough"])
+@pytest.mark.parametrize("nx,ny", [(24, 20), (18, 26)])
+def test_closed_1form_keeps_its_periods(scheme, flow, nx, ny):
+    # omega0 = df + a dx + b dy is closed, and L omega = i(d omega) +
+    # d(i omega) reduces to the exact d(i omega); so the sum of the
+    # x-edges of any row (an x-loop of the torus) stays a * nx * h, and
+    # that of the y-edges of any column (a y-loop) stays b * ny * h.
+    # The bound: a loop sum adds n <= 26 values of size at most
+    # M = |a| + |b| + max|omega0| (the run stays below M; asserted), so one
+    # evaluation rounds by up to n * eps * M ~ 6e-15 * M. Each step adds
+    # an increment whose loop sums telescope to zero, up to the same
+    # rounding, and k = 60 steps of such errors, adding like a random
+    # walk, reach sqrt(k) * n * eps * M ~ 4.5e-14 * M. The bound is twice
+    # that; the drift measured over 300 steps on 32^2 was 1.2e-15.
+    rng = np.random.default_rng(263)
+    h = 1.0 / max(nx, ny)
+    g = build_complex(nx, ny, h)
+    if flow == "vortex":
+        field = rudman_vortex()
+    else:
+        # node psi drawn at random: every flux changes sign at grid scale
+        psi = rng.standard_normal(g.shape)
+        field = StreamFunctionVelocity(lambda X, Y: psi)
+    vel = discretize_velocity(field, g)
+    target = COURANT_PC if scheme is SchemeKind.UPWIND else COURANT_WENO
+    dt = target / max_courant(vel, 1.0)
+    a, b = 0.7, -0.3
+    f = rng.standard_normal(g.shape)
+    w0 = Cochain.from_components(g, np.roll(f, -1, axis=1) - f + a * h,
+                                 np.roll(f, -1, axis=0) - f + b * h)
+    size = abs(a) + abs(b) + np.abs(w0.values).max()
+    bound = 1e-13 * size
+    worst = []
+
+    def periods(k, w):
+        x_loops = w.component("x").sum(axis=1)
+        y_loops = w.component("y").sum(axis=0)
+        assert np.abs(w.values).max() <= size
+        worst.append(max(np.abs(x_loops - a * nx * h).max(),
+                         np.abs(y_loops - b * ny * h).max(),
+                         np.ptp(x_loops), np.ptp(y_loops)))
+
+    advect(w0, vel, AdvectionConfig(dt, 60, scheme), observer=periods)
+    assert len(worst) == 61
+    assert max(worst) <= bound, (max(worst), bound)
 
 
 def test_non_finite_state_is_flagged():

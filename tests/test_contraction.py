@@ -277,6 +277,17 @@ def test_contract_guards():
             for form in (w, w1):
                 with pytest.raises(ValueError, match="positive and finite"):
                     contract(form, still, dt, scheme)
+    # the grid's smaller extent against the stencil, for every degree
+    small = build_complex(12, 7, H)
+    small_still = StaggeredVelocity(small, np.zeros(small.shape),
+                                    np.zeros(small.shape))
+    forms = [Cochain.zeros(small, k) for k in (0, 1, 2)]
+    for form in forms + [Cochain.empty(small, 3)]:
+        with pytest.raises(ValueError, match=r"^grid extent 7 too small "
+                                             r"for weno7 \(needs at least "
+                                             r"8 cells\)$"):
+            contract(form, small_still, 0.01, SchemeKind.WENO7)
+        contract(form, small_still, 0.01, SchemeKind.WENO5)
 
 
 @pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])

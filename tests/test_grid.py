@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lieform.grid import CellRef, boundary_chain, build_complex, shifted
+from lieform.grid import (CellRef, _roll_into, boundary_chain, build_complex,
+                          shifted)
 from reference import boundary_operator
 
 
@@ -108,25 +109,30 @@ def test_shifted_matches_roll_bitwise():
             got = shifted(plane, di=di, dj=dj)
             assert got.dtype == plane.dtype
             assert got.tobytes() == want.tobytes()
-            buf = np.full(2 * plane.size + 3, 7, dtype=plane.dtype)
-            out = buf[3:3 + plane.size].reshape(plane.shape)
-            assert shifted(plane, di, dj, out=out) is out
-            assert out.tobytes() == want.tobytes()
-            assert (buf[:3] == 7).all() and (buf[3 + plane.size:] == 7).all()
 
 
-def test_shifted_out_guards():
+def test_roll_into_fills_only_out():
+    # the unchecked shift that d and the upwind read write into their own
+    # buffers: out is filled and returned, and nothing next to it changes,
+    # also when out is a neighbouring block of the plane's own buffer
+    rng = np.random.default_rng(17)
+    p = rng.standard_normal((4, 5))
+    p[0, :3] = (0.0, -0.0, np.nan)
+    for plane in (p, np.arange(20).reshape(4, 5), p.T):
+        for axis in (0, 1):
+            for k in range(plane.shape[axis]):
+                want = np.roll(plane, -k, axis=axis)
+                buf = np.full(2 * plane.size + 3, 7, dtype=plane.dtype)
+                out = buf[3:3 + plane.size].reshape(plane.shape)
+                assert _roll_into(plane, k, axis, out) is out
+                assert out.tobytes() == want.tobytes()
+                assert (buf[:3] == 7).all()
+                assert (buf[3 + plane.size:] == 7).all()
     buf = np.arange(40.0)
-    p = buf[:20].reshape(4, 5)
-    for bad in (np.empty((5, 4)), np.empty((4, 6)), np.empty(20),
-                p, buf[10:30].reshape(4, 5), p[:, ::-1]):
-        for di, dj in ((1, 0), (0, 1), (1, 1), (0, 0)):
-            with pytest.raises(ValueError, match="out must have the plane's "
-                                                 "shape and not overlap it"):
-                shifted(p, di, dj, out=bad)
-    # a neighbouring block of the same buffer is fine
-    assert shifted(p, 1, 0, out=buf[20:].reshape(4, 5)).base is buf
-    assert np.array_equal(buf[20:].reshape(4, 5), np.roll(p, -1, axis=1))
+    assert _roll_into(buf[:20].reshape(4, 5), 1, 1,
+                      buf[20:].reshape(4, 5)).base is buf
+    assert np.array_equal(buf[20:].reshape(4, 5),
+                          np.roll(np.arange(20.0).reshape(4, 5), -1, axis=1))
 
 
 def test_node_coords():

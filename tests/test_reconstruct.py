@@ -317,9 +317,9 @@ _SIGN_PATTERNS = {
 def _job_pairs(draw):
     # Two jobs on one nx != ny plane shape at or just above the stencil
     # minimum, each with its own axis and sign pattern; the jobs read
-    # one plane (as contract_2form's do) or two; the results go to a
+    # one plane (as _contract_2form's do) or two; the results go to a
     # given out, or, for WENO, over the jobs' own stacked planes (as
-    # contract_1form's do). An upwind read must not overlap its plane.
+    # _contract_1form's do). An upwind read must not overlap its plane.
     scheme = draw(st.sampled_from(list(SchemeKind)))
     ny = scheme.stencil_width + draw(st.integers(1, 3))
     nx = draw(st.sampled_from([n for n in range(scheme.stencil_width + 1,

@@ -291,6 +291,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "e")]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: step 1 (upwind, 16x16): courant number")
+    # advect checks the Courant number before its observer dumps state 0
+    for name in ("c", "e"):
+        assert not list((tmp_path / name).glob("*/field_*"))
     # a time step or step count that is no step at all is a configuration
     # error, caught before any directory is made
     for dt in ("0", "-0.001", "inf", "nan"):
