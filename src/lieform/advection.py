@@ -37,7 +37,6 @@ state, with either scheme; a 2-form step also allocates contraction's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,13 +46,9 @@ from .derivative import exterior_derivative
 from .forms import Cochain, NonFiniteValueError, _check_finite
 # Unused here, but perfbench wraps lieform.advection.axpy.
 from .forms import axpy  # noqa: F401
+from .grid import _is_count, _require_positive
 from .reconstruct import CourantError, SchemeKind, _require_extent
 from .velocity import StaggeredVelocity, max_courant
-
-
-def _is_count(n) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return isinstance(n, Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,9 @@ class AdvectionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", SchemeKind.from_name(self.scheme))
-        if not (self.dt > 0.0 and self.dt < float("inf")):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (_is_count(self.steps) and self.steps >= 0):
-            raise ValueError(f"steps must be a non-negative integer, got {self.steps}")
+        _require_positive("dt", self.dt)
+        if not _is_count(self.steps):
+            raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
         if not 0.0 < self.courant_limit <= 1.0:
             raise ValueError(

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Cochain, scratch
+from .grid import _require_positive
 from .reconstruct import (CourantError, SchemeKind, _reconstruct,
                           _require_extent)
 # Unused here, but perfbench wraps lieform.contraction.interface_point_values.
@@ -143,9 +144,7 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
     scheme = SchemeKind.from_name(scheme)
     grid = omega.grid
     _require_same_grid(omega, vel)
-    # Written so that nan fails the comparisons too.
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _require_positive("dt", dt)
     _require_extent(min(grid.nx, grid.ny), scheme)
     nu = max_courant(vel, dt)
     if nu > 1.0:

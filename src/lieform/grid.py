@@ -21,15 +21,41 @@ Every periodic shift of a plane is written once, in _roll_into: one
 np.concatenate of two blocks into a given array. The public shifted
 wraps it with fresh arrays; d and the upwind read call it directly on
 their own buffers and check nothing there.
+
+Two input rules are written here, the lowest module, and every public
+entry of the package applies them to what its caller passed, before
+any cast: _is_count, the count rule (an integer in a range, numpy's
+included, but not a bool), and _require_positive, the positive-number
+rule (a positive finite number, not a bool), whose error reads
+"<name> must be positive and finite, got <value>". The grid applies
+both: its extents must be counts of at least 4 and its edge length
+positive and finite, and only then are they stored as int and float.
+(The third rule, the flux sign, is reconstruct._negative.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 EDGE_AXES = ("x", "y")
+
+
+def _is_count(n, low: int = 0, high: float = np.inf) -> bool:
+    """An integer in [low, high], numpy's included, but not a bool."""
+    return (isinstance(n, Integral) and not isinstance(n, bool)
+            and low <= n <= high)
+
+
+def _require_positive(name: str, x) -> None:
+    """Raise ValueError unless x is a positive finite number.
+
+    A bool is not one. Written so that nan fails the comparison too.
+    """
+    if isinstance(x, bool) or not 0.0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +69,12 @@ class GridComplex2D:
     def __post_init__(self) -> None:
         # 4 is the smallest extent on which the incidence structure is
         # nondegenerate; reconstruction schemes impose their own minimum.
-        if self.nx < 4 or self.ny < 4:
-            raise ValueError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"edge length must be positive and finite, got {self.h!r}")
+        if not (_is_count(self.nx, 4) and _is_count(self.ny, 4)):
+            raise ValueError("grid must be at least 4x4 with integer extents, "
+                             f"got {self.nx!r}x{self.ny!r}")
+        _require_positive("edge length", self.h)
+        for name, cast in (("nx", int), ("ny", int), ("h", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,8 +140,8 @@ class CellRef:
 
 
 def build_complex(nx: int, ny: int, h: float) -> GridComplex2D:
-    """Validate sizes and build the periodic complex."""
-    return GridComplex2D(int(nx), int(ny), float(h))
+    """The periodic complex; GridComplex2D checks the sizes as given."""
+    return GridComplex2D(nx, ny, h)
 
 
 def shifted(plane: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:

@@ -67,7 +67,10 @@ temporaries are fresh, and its result is a fresh C-ordered plane.
 Which window an interface takes is decided by _negative, the one
 statement of the sign rule: a flow sign below 0.0 reads the mirrored
 window, and every other sign, -0.0 included, reads the window as-is.
-The velocity's masks, and so every read, use it.
+The velocity's masks, and so every read, use it, and extrusion_integral
+checks the sign of its window by the same comparison. The count and
+positive-number rules of the inputs are grid._is_count and
+grid._require_positive.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import scratch
-from .grid import _roll_into
+from .grid import _is_count, _require_positive, _roll_into
 
 SMOOTH_EPS = 1e-6
 
@@ -126,8 +129,9 @@ _STENCIL_WIDTH = {"upwind": 1, "weno5": 5, "weno7": 7}
 class Stencil1D:
     """Cell-average window for one interface, upwind side first.
 
-    sign is +1 when the flow points toward higher index, -1 otherwise;
-    it records which orientation the window was read in.
+    sign records which orientation the window was read in, by the sign
+    rule of _negative: -1 for a flux below 0.0 (the mirrored window),
+    +1 for any other flux, a zero of either sign included.
     """
 
     values: tuple[float, ...]
@@ -340,23 +344,25 @@ def extrusion_integral(stencil: Stencil1D, scheme: SchemeKind,
 
     The stencil holds 1-D averages (integral values divided by h); the
     result is back in integral units: ((value * flux) * dt) / h. flux
-    must be finite, and dt and h positive and finite.
+    must be finite, dt and h positive and finite, and the window as wide
+    as the scheme's stencil and read for the flux's sign by the rule of
+    _negative. All of that is checked before a zero flux returns 0.0.
     """
     scheme = SchemeKind.from_name(scheme)
     # Written so that nan fails the comparisons too.
     if not -np.inf < flux < np.inf:
         raise ValueError(f"flux must be finite, got {flux!r}")
-    if not (0.0 < dt < np.inf and 0.0 < h < np.inf):
+    _require_positive("dt", dt)
+    _require_positive("h", h)
+    _require_width(len(stencil.values), scheme)
+    if (flux < 0.0) != (stencil.sign < 0):
         raise ValueError(
-            f"dt and h must be positive and finite, got dt={dt!r}, h={h!r}")
+            f"stencil read for sign {stencil.sign:+d} but flux is {flux!r}")
     if flux == 0.0:
         return 0.0
     nu = abs(flux) * dt / h ** 2
     if nu > 1.0:
         raise CourantError(f"interface courant number {nu:.6g} exceeds 1")
-    if (flux > 0.0) != (stencil.sign > 0):
-        raise ValueError(
-            f"stencil read for sign {stencil.sign:+d} but flux is {flux:g}")
     r = reconstruct_at_interface(stencil, scheme)
     return ((r * flux) * dt) / h
 
@@ -378,8 +384,8 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     axis among them; _reconstruct makes none.
     """
     scheme = SchemeKind.from_name(scheme)
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
+    if not _is_count(axis, 0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"plane must be 2-D, got shape {u.shape}")

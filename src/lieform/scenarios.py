@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .advection import AdvectionConfig, _is_count, advect
+from .advection import AdvectionConfig, advect
 # Unused here, but perfbench's CLI workloads patch lieform.scenarios.step.
 from .advection import step  # noqa: F401
 from .forms import AnalyticForm, Cochain, RectangleForm, axpy, discretize, norm
-from .grid import build_complex, shifted
+from .grid import _is_count, _require_positive, build_complex, shifted
 from .output import ErrorRecord, render_field, write_error_table, write_field, write_pgm
 from .reconstruct import SchemeKind, interface_point_values
 from .velocity import (ConstantVelocity, StaggeredVelocity, StreamFunctionVelocity,
@@ -62,23 +62,21 @@ class Scenario:
         if not self.resolutions:
             raise ValueError("scenario needs at least one resolution")
         for n in self.resolutions:
-            if not _is_count(n):
-                raise ValueError(f"scenario resolutions must be integers, got {n!r}")
+            if not _is_count(n, 8):
+                raise ValueError("scenario resolutions must be integers of at "
+                                 f"least 8, got {n!r}")
         object.__setattr__(self, "resolutions", tuple(int(n) for n in self.resolutions))
-        if any(n < 8 for n in self.resolutions):
-            raise ValueError("scenario resolutions must be at least 8")
-        # Written so that nan fails the comparisons too.
-        if not 0.0 < self.duration < np.inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if self.base_dt is not None and not 0.0 < self.base_dt < np.inf:
-            raise ValueError(f"time step must be positive and finite, got {self.base_dt!r}")
+        _require_positive("duration", self.duration)
+        if self.base_dt is not None:
+            _require_positive("time step", self.base_dt)
         if self.steps is not None:
-            if not _is_count(self.steps):
-                raise ValueError(f"step count must be an integer, got {self.steps!r}")
-            if not 1 <= self.steps <= MAX_STEPS:
-                raise ValueError(f"step count must lie in [1, {MAX_STEPS}], "
+            if not _is_count(self.steps, 1, MAX_STEPS):
+                raise ValueError(f"step count must be an integer in [1, {MAX_STEPS}], "
                                  f"got {self.steps!r}")
             object.__setattr__(self, "steps", int(self.steps))
+        if not _is_count(self.dumps):
+            raise ValueError(f"dump count must be a non-negative integer, got {self.dumps!r}")
+        object.__setattr__(self, "dumps", int(self.dumps))
 
 
 _BUILTINS = {
@@ -122,17 +120,13 @@ def builtin_scenario(name: str) -> Scenario:
 
 def apply_overrides(scenario: Scenario, resolutions=None, dt=None,
                     steps=None, scheme=None) -> Scenario:
-    changes = {}
-    # Counts pass through as given: Scenario rejects a non-integer one
-    # rather than truncating it.
-    if resolutions is not None:
-        changes["resolutions"] = tuple(resolutions)
-    if dt is not None:
-        changes["base_dt"] = float(dt)
-    if steps is not None:
-        changes["steps"] = steps
-    if scheme is not None:
-        changes["schemes"] = (SchemeKind.from_name(scheme),)
+    # Each value given passes through as it is (the resolutions as a
+    # tuple of them), so Scenario's checks see what the caller passed and
+    # reject a bad one rather than a cast of it.
+    given = {"resolutions": None if resolutions is None else tuple(resolutions),
+             "base_dt": dt, "steps": steps,
+             "schemes": None if scheme is None else (SchemeKind.from_name(scheme),)}
+    changes = {k: v for k, v in given.items() if v is not None}
     return dataclasses.replace(scenario, **changes) if changes else scenario
 
 

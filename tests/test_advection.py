@@ -49,6 +49,10 @@ def test_config_validation():
         AdvectionConfig(0.1, True)
     steps = AdvectionConfig(0.1, np.int64(5)).steps
     assert steps == 5 and type(steps) is int
+    # nor is a bool a positive number
+    with pytest.raises(ValueError,
+                       match=r"^dt must be positive and finite, got True$"):
+        AdvectionConfig(True, 1)
     with pytest.raises(ValueError):
         AdvectionConfig(0.1, 5, courant_limit=0.0)
     with pytest.raises(ValueError):
@@ -95,10 +99,10 @@ def test_increment_0form_is_transported_gradient():
 
 
 @st.composite
-def _fv_cases(draw):
-    # An nx != ny grid at or just above the scheme's stencil minimum (and
-    # the grid's own minimum of 4), a stream-function flux and a cell
-    # field. Stream values drawn from a few exact levels, both zeros
+def _flows(draw):
+    # A scheme, an nx != ny grid at or just above the scheme's stencil
+    # minimum (and the grid's own minimum of 4), and a stream-function
+    # flux on it. Stream values drawn from a few exact levels, both zeros
     # among them, make fluxes of exactly 0.0 and -0.0 (-0.0 - 0.0 is
     # -0.0), so the sign rule's edge is hit on both axes.
     scheme = draw(st.sampled_from(list(SchemeKind)))
@@ -112,8 +116,28 @@ def _fv_cases(draw):
     # |flux| <= 0.25: a Courant number of at most 0.2 at dt 0.05, h 0.25
     vel = discretize_velocity(
         StreamFunctionVelocity(lambda x, y: 0.125 * psi), grid)
-    rho = draw(hnp.arrays(np.float64, (ny, nx), elements=st.floats(-1e3, 1e3)))
+    return scheme, vel
+
+
+def _planes(shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _fv_cases(draw):
+    # A drawn flow and a cell field on its grid.
+    scheme, vel = draw(_flows())
+    rho = draw(_planes(vel.grid.shape))
     return scheme, vel.flux_x, vel.flux_y, rho
+
+
+@st.composite
+def _step_cases(draw):
+    # A drawn flow, two planes on its grid and two coefficients.
+    scheme, vel = draw(_flows())
+    planes = draw(_planes((2, *vel.grid.shape)))
+    a, b = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    return scheme, vel, planes, a, b
 
 
 def _seeded_fv_case(scheme):
@@ -147,6 +171,66 @@ def test_step_2form_matches_split_fv(scheme):
 @given(_fv_cases())
 def test_step_2form_matches_split_fv_drawn(case):
     _assert_step_2form_matches_split_fv(*case)
+
+
+# Step-level properties on the drawn flows: dt 0.05 keeps every Courant
+# number at or below 0.2 (see _flows).
+@settings(max_examples=30, deadline=None)
+@given(_step_cases())
+def test_d_commutes_with_the_step_drawn(case):
+    # d(L w) = L(d w) within 1e-12 relative, measured as criterion 3 does
+    # it, for a drawn 0-form and a drawn 1-form.
+    scheme, vel, planes, _, _ = case
+    g = vel.grid
+    config = AdvectionConfig(0.05, 1, scheme)
+    for w in (Cochain.from_plane(g, 0, planes[0]),
+              Cochain.from_components(g, *planes)):
+        dL = exterior_derivative(lie_increment(w, vel, config)).values
+        Ld = lie_increment(exterior_derivative(w), vel, config).values
+        scale = max(1.0, np.abs(dL).max(), np.abs(Ld).max())
+        assert np.abs(dL - Ld).max() <= 1e-12 * scale, w.degree
+
+
+@settings(max_examples=30, deadline=None)
+@given(_step_cases())
+def test_closed_1form_keeps_its_periods_drawn(case):
+    # test_closed_1form_keeps_its_periods on the drawn flows, with its
+    # bound 1e-13 * M: its derivation covers loops of up to 26 values and
+    # 60 steps, and these loops hold at most 11 values over 5 steps. M is
+    # |a| + |b| + the largest value of the run. That derivation assumes
+    # relative rounding, which the drawn values can leave: a rounding
+    # whose result is subnormal (a * h for a tiny a, say) errs by up to
+    # 2**-1075 whatever M is. A loop's value takes fewer than 2**11
+    # roundings (11 entries of 2 setup and 5 x 20 step operations, the
+    # sum and the expected value), so the bound adds 2**-1064.
+    scheme, vel, (f, _), a, b = case
+    g = vel.grid
+    h = g.h
+    w0 = Cochain.from_components(g, np.roll(f, -1, axis=1) - f + a * h,
+                                 np.roll(f, -1, axis=0) - f + b * h)
+    states = []
+    advect(w0, vel, AdvectionConfig(0.05, 5, scheme),
+           observer=lambda k, w: states.append(w))
+    size = abs(a) + abs(b) + max(np.abs(w.values).max() for w in states)
+    for w in states:
+        x_loops = w.component("x").sum(axis=1)
+        y_loops = w.component("y").sum(axis=0)
+        worst = max(np.abs(x_loops - a * g.nx * h).max(),
+                    np.abs(y_loops - b * g.ny * h).max(),
+                    np.ptp(x_loops), np.ptp(y_loops))
+        assert worst <= 1e-13 * size + 2.0 ** -1064, (worst, size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_step_cases())
+def test_2form_mass_is_conserved_drawn(case):
+    # test_2form_mass_is_conserved's bound on the drawn flows
+    scheme, vel, (rho, _), _, _ = case
+    w0 = Cochain.from_plane(vel.grid, 2, rho)
+    w = advect(w0, vel, AdvectionConfig(0.05, 5, scheme))
+    m0 = math.fsum(w0.values.tolist())
+    m1 = math.fsum(w.values.tolist())
+    assert abs(m1 - m0) <= 1e-12 * math.fsum(np.abs(w0.values).tolist())
 
 
 def _flux_setup(flux, degree, seed):
@@ -285,15 +369,15 @@ def test_advect_observer_sequence():
     assert advect(w, vel, AdvectionConfig(0.05, 0)) is w
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO5])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_zero_velocity_is_exact_invariance(scheme):
     rng = np.random.default_rng(233)
     g = build_complex(8, 8, 0.25)
     still = StaggeredVelocity(g, np.zeros(g.shape), np.zeros(g.shape))
-    w = Cochain.from_components(g, rng.standard_normal(g.shape),
-                                rng.standard_normal(g.shape))
-    out = advect(w, still, AdvectionConfig(0.05, 10, scheme))
-    assert np.array_equal(out.values, w.values)
+    for degree in (0, 1, 2):
+        w = Cochain(g, degree, rng.standard_normal(g.cell_count(degree)))
+        out = advect(w, still, AdvectionConfig(0.05, 10, scheme))
+        assert np.array_equal(out.values, w.values), degree
 
 
 @pytest.mark.parametrize("scheme,shape,extent", [
@@ -438,7 +522,8 @@ def test_non_finite_state_is_flagged():
             step(Cochain.from_plane(g, 2, bad), vel, AdvectionConfig(0.05, 1))
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])
+@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO5,
+                                    SchemeKind.WENO7])
 def test_2form_mass_is_conserved(scheme):
     rng = np.random.default_rng(241)
     g, vel = _setup(rng, 24, 24, h=1.0 / 24.0)

@@ -273,7 +273,7 @@ def test_contract_guards():
     still = StaggeredVelocity(g, np.zeros(g.shape), np.zeros(g.shape))
     w1 = Cochain.from_components(g, np.ones(g.shape), np.ones(g.shape))
     for scheme in (SchemeKind.UPWIND, SchemeKind.WENO7):
-        for dt in (np.inf, np.nan):
+        for dt in (np.inf, np.nan, True):
             for form in (w, w1):
                 with pytest.raises(ValueError, match="positive and finite"):
                     contract(form, still, dt, scheme)

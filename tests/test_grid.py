@@ -1,6 +1,7 @@
 """Complex construction, canonical indexing, incidence structure."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lieform.grid import (CellRef, _roll_into, boundary_chain, build_complex,
-                          shifted)
+from lieform.grid import (CellRef, GridComplex2D, _roll_into, boundary_chain,
+                          build_complex, shifted)
 from reference import boundary_operator
 
 
@@ -23,6 +24,23 @@ def test_build_complex_casts_and_validates():
             build_complex(*bad)
     with pytest.raises(ValueError):
         build_complex(8, 8, float("nan"))
+    # Each rule sees the value passed, not a cast of it: an extent that
+    # is not an integer, or is a bool, and an edge length that is a bool
+    # are named in the error, not built into a grid of another size.
+    for bad, shown in (((4.7, 8, 0.1), r"4\.7x8"), (("8", 8, 0.1), "'8'x8"),
+                       ((8, True, 0.1), "8xTrue"), ((8, 8, True), "True")):
+        with pytest.raises(ValueError, match=f"got {shown}$"):
+            build_complex(*bad)
+    with pytest.raises(ValueError, match=r"^grid must be at least 4x4 with "
+                                         r"integer extents, got 8\.5x8$"):
+        GridComplex2D(8.5, 8, 0.1)
+    with pytest.raises(ValueError, match=r"^edge length must be positive "
+                                         r"and finite, got True$"):
+        GridComplex2D(8, 8, True)
+    # numpy numbers pass, and are stored as Python int and float
+    g = build_complex(np.int64(6), np.int32(4), np.float64(0.25))
+    assert g == build_complex(6, 4, 0.25)
+    assert (type(g.nx), type(g.ny), type(g.h)) == (int, int, float)
 
 
 def test_cell_counts():

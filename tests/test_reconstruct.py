@@ -174,7 +174,7 @@ def test_extrusion_courant_guard():
     (0.5, math.nan, 0.1), (0.5, math.inf, 0.1), (0.5, -0.001, 0.1),
     (0.5, 0.0, 0.1), (0.5, 0.001, math.nan), (0.5, 0.001, math.inf),
     (0.5, 0.001, -0.1), (0.5, 0.001, 0.0), (0.0, math.nan, 0.1),
-    (0.0, 0.001, -0.1),
+    (0.0, 0.001, -0.1), (0.5, True, 0.1), (0.5, 0.001, True),
 ])
 def test_extrusion_rejects_bad_numbers(flux, dt, h):
     # before the zero-flux shortcut, so a bad dt or h never passes silently
@@ -187,6 +187,18 @@ def test_extrusion_sign_mismatch():
     s = Stencil1D((1.0,), -1)
     with pytest.raises(ValueError):
         extrusion_integral(s, SchemeKind.UPWIND, flux=0.5, dt=0.001, h=0.1)
+    # By the sign rule of every read a zero flux of either sign reads the
+    # window as-is, so a mirrored window is wrong there too, and this is
+    # checked before the zero flux returns.
+    for zero in (0.0, -0.0):
+        with pytest.raises(ValueError, match=rf"^stencil read for sign -1 "
+                                             rf"but flux is {zero!r}$"):
+            extrusion_integral(s, SchemeKind.UPWIND, flux=zero, dt=0.001, h=0.1)
+        assert extrusion_integral(Stencil1D((1.0,), 1), SchemeKind.UPWIND,
+                                  flux=zero, dt=0.001, h=0.1) == 0.0
+    with pytest.raises(ValueError):
+        extrusion_integral(Stencil1D((1.0,), 1), SchemeKind.UPWIND,
+                           flux=-0.5, dt=0.001, h=0.1)
 
 
 def test_extrusion_matches_reconstruction():
@@ -466,6 +478,12 @@ def test_interface_point_values_guards():
                                SchemeKind.WENO5)
     with pytest.raises(ValueError):
         interface_point_values(u, 2, signs, SchemeKind.UPWIND)
+    # the axis is a count in [0, 1]: a bool or a float is not one
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^axis must be 0 or 1, got {bad!r}$"):
+            interface_point_values(u, bad, signs, SchemeKind.UPWIND)
+    _assert_same_bits(interface_point_values(u, np.int64(1), signs, SchemeKind.WENO5),
+                      interface_point_values(u, 1, signs, SchemeKind.WENO5))
     # a plane of any other number type, or nested lists, is read as
     # float64, and signs may be nested lists too
     ints = np.arange(48).reshape(8, 6) % 5
@@ -520,3 +538,8 @@ def test_width_guards_on_public_entry_points():
     with pytest.raises(ValueError):
         reconstruct_at_interface(Stencil1D((1.0, 2.0, 3.0, 4.0, 5.0), 1),
                                  SchemeKind.WENO7)
+    # extrusion_integral checks the width before a zero flux returns
+    for flux in (0.5, 0.0):
+        with pytest.raises(ValueError, match="^scheme weno7 needs 7 cells, got 5$"):
+            extrusion_integral(Stencil1D((1.0,) * 5, 1), SchemeKind.WENO7,
+                               flux, 0.01, 0.1)

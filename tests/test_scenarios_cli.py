@@ -78,6 +78,17 @@ def test_scenario_validation(tmp_path, monkeypatch):
         apply_overrides(base, resolutions=[16, 8.5])
     with pytest.raises(ValueError, match=r"got 2\.5$"):
         apply_overrides(base, steps=2.5)
+    with pytest.raises(ValueError, match=r"^time step must be positive and "
+                                         r"finite, got True$"):
+        apply_overrides(base, dt=True)
+    # A dump count follows the same count rule.
+    for bad_dumps in (2.5, -3, True):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad_dumps!r}") + "$"):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(8,), dumps=bad_dumps)
+    dumps = Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(8,), dumps=np.int16(3)).dumps
+    assert dumps == 3 and type(dumps) is int
     # Only the finer leg exceeds the step limit (dt halves with h, so it
     # needs about 1.3e7 steps against 6.7e6 at 8^2); it must fail before
     # any run starts or any directory is made.
