@@ -64,7 +64,7 @@ class AdvectionConfig:
         if not _is_count(self.steps):
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not 0.0 < self.courant_limit <= 1.0:
+        if isinstance(self.courant_limit, bool) or not 0.0 < self.courant_limit <= 1.0:
             raise ValueError(
                 f"courant_limit must lie in (0, 1], got {self.courant_limit}")
 

@@ -5,9 +5,18 @@ environment dependence, so repeated runs produce identical artifacts
 (modulo the runtime_ms column, which records wall time).
 
 All scenarios advect an initial form along a closed trajectory and report
-the final-vs-initial L1/L2 error per (resolution, scheme): constant-field
-runs cover one domain period, vortex runs go forward for the duration and
-back in the negated field.
+the final-vs-initial L1/L2 error per (resolution, scheme). Two rules
+follow from what a scenario states, with no flag for either:
+
+- The velocity kind fixes the trajectory: constant and zero fields close
+  over one run (one domain period for the constant one), and the vortex
+  runs forward for the duration and then back in the negated field.
+- The form's degree fixes the lockstep check: every 2-form run steps
+  flux differencing beside advect and writes the largest gap between the
+  two to equivalence.txt.
+
+A Scenario checks its fields when it is made, so a bad one fails before
+any directory is written.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ from .forms import AnalyticForm, Cochain, RectangleForm, axpy, discretize, norm
 from .grid import _is_count, _require_positive, build_complex, shifted
 from .output import ErrorRecord, render_field, write_error_table, write_field, write_pgm
 from .reconstruct import SchemeKind, interface_point_values
-from .velocity import (ConstantVelocity, StaggeredVelocity, StreamFunctionVelocity,
-                       discretize_velocity, rudman_vortex)
+from .velocity import (ConstantVelocity, StaggeredVelocity, discretize_velocity,
+                       rudman_vortex)
 
 DEFAULT_SCHEMES = (SchemeKind.UPWIND, SchemeKind.WENO7)
 
@@ -44,28 +53,65 @@ COURANT_PC = 0.45
 COURANT_WENO = 0.05
 
 
+def _smooth1(x, y):
+    # Sum rather than product of the fundamentals: each component then
+    # damps one-dimensionally under upwinding, so the coarsest grids
+    # stay inside the first-order regime over a full period.
+    return np.sin(2.0 * np.pi * x) + np.sin(2.0 * np.pi * y)
+
+
+# Initial form of each form kind; its degree fixes the lockstep check.
+_FORMS = {
+    "smooth0": AnalyticForm(0, (lambda x, y: np.sin(2.0 * np.pi * x)
+                                * np.sin(2.0 * np.pi * y),)),
+    "smooth1": AnalyticForm(1, (_smooth1, _smooth1)),
+    "rect1": RectangleForm(1, 0.3, 0.7, 0.3, 0.7, dx_coeff=0.0, dy_coeff=1.0),
+    "rect2": RectangleForm(2, 0.3, 0.7, 0.3, 0.7, density=1.0),
+}
+
+# Field of each velocity kind, and whether a run goes back in its negation.
+_VELOCITIES = {
+    "constant": (ConstantVelocity(1.0, 1.0), False),
+    "rudman": (rudman_vortex(), True),
+    "zero": (ConstantVelocity(0.0, 0.0), False),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    form: str                     # smooth0 | smooth1 | rect1 | rect2; fixes the degree
-    velocity: str                 # constant | rudman | zero
+    form: str                     # a key of _FORMS; fixes the degree
+    velocity: str                 # a key of _VELOCITIES; fixes the reversal
     resolutions: tuple[int, ...]
-    schemes: tuple[SchemeKind, ...] = DEFAULT_SCHEMES
+    schemes: tuple[SchemeKind, ...] = DEFAULT_SCHEMES   # members or names
     duration: float = 1.0         # per leg for reversed runs
     base_dt: Optional[float] = None   # dt at resolutions[0], scaled with h
-    reverse: bool = False
     dumps: int = 0                # intermediate dump count (start/end always)
     steps: Optional[int] = None   # explicit per-leg step count override
-    equivalence_check: bool = False
 
     def __post_init__(self) -> None:
+        for what, kind, table in (("form", self.form, _FORMS),
+                                  ("velocity", self.velocity, _VELOCITIES)):
+            if kind not in table:
+                raise ValueError(f"unknown {what} kind {kind!r} "
+                                 f"(options: {', '.join(table)})")
         if not self.resolutions:
             raise ValueError("scenario needs at least one resolution")
         for n in self.resolutions:
             if not _is_count(n, 8):
                 raise ValueError("scenario resolutions must be integers of at "
                                  f"least 8, got {n!r}")
-        object.__setattr__(self, "resolutions", tuple(int(n) for n in self.resolutions))
+        # Each (resolution, scheme) pair names one run directory, so
+        # neither list may repeat an entry.
+        resolutions = tuple(int(n) for n in self.resolutions)
+        if len(set(resolutions)) < len(resolutions):
+            raise ValueError(f"scenario resolutions repeat, got {resolutions!r}")
+        object.__setattr__(self, "resolutions", resolutions)
+        schemes = tuple(SchemeKind.from_name(s) for s in self.schemes)
+        if not schemes or len(set(schemes)) < len(schemes):
+            raise ValueError("scenario schemes must be one or more distinct "
+                             f"schemes, got {self.schemes!r}")
+        object.__setattr__(self, "schemes", schemes)
         _require_positive("duration", self.duration)
         if self.base_dt is not None:
             _require_positive("time step", self.base_dt)
@@ -85,14 +131,13 @@ _BUILTINS = {
         resolutions=(48,), base_dt=1e-3),
     "rudman-vortex": Scenario(
         name="rudman-vortex", form="rect1", velocity="rudman",
-        resolutions=(48,), base_dt=1e-3, reverse=True, dumps=5),
+        resolutions=(48,), base_dt=1e-3, dumps=5),
     "convergence-smooth-constant": Scenario(
         name="convergence-smooth-constant", form="smooth1",
         velocity="constant", resolutions=(16, 32, 64, 128)),
     "convergence-smooth-vortex": Scenario(
         name="convergence-smooth-vortex", form="smooth1",
-        velocity="rudman", resolutions=(16, 32, 64), duration=0.125,
-        reverse=True),
+        velocity="rudman", resolutions=(16, 32, 64), duration=0.125),
     "convergence-discontinuous": Scenario(
         name="convergence-discontinuous", form="rect1",
         velocity="constant", resolutions=(16, 32, 64, 128)),
@@ -101,8 +146,7 @@ _BUILTINS = {
         resolutions=(48,), base_dt=1e-3),
     "volume-2form-equivalence": Scenario(
         name="volume-2form-equivalence", form="rect2",
-        velocity="constant", resolutions=(48,), base_dt=1e-3,
-        equivalence_check=True),
+        velocity="constant", resolutions=(48,), base_dt=1e-3),
 }
 
 
@@ -121,41 +165,14 @@ def builtin_scenario(name: str) -> Scenario:
 def apply_overrides(scenario: Scenario, resolutions=None, dt=None,
                     steps=None, scheme=None) -> Scenario:
     # Each value given passes through as it is (the resolutions as a
-    # tuple of them), so Scenario's checks see what the caller passed and
-    # reject a bad one rather than a cast of it.
+    # tuple of them, the scheme as a one-entry tuple), so Scenario's
+    # checks see what the caller passed and reject a bad one rather than
+    # a cast of it.
     given = {"resolutions": None if resolutions is None else tuple(resolutions),
              "base_dt": dt, "steps": steps,
-             "schemes": None if scheme is None else (SchemeKind.from_name(scheme),)}
+             "schemes": None if scheme is None else (scheme,)}
     changes = {k: v for k, v in given.items() if v is not None}
     return dataclasses.replace(scenario, **changes) if changes else scenario
-
-
-def _build_form(scenario: Scenario):
-    if scenario.form == "smooth0":
-        return AnalyticForm(0, (lambda x, y: np.sin(2.0 * np.pi * x)
-                                * np.sin(2.0 * np.pi * y),))
-    if scenario.form == "smooth1":
-        # Sum rather than product of the fundamentals: each component then
-        # damps one-dimensionally under upwinding, so the coarsest grids
-        # stay inside the first-order regime over a full period.
-        def comp(x, y):
-            return np.sin(2.0 * np.pi * x) + np.sin(2.0 * np.pi * y)
-        return AnalyticForm(1, (comp, comp))
-    if scenario.form == "rect1":
-        return RectangleForm(1, 0.3, 0.7, 0.3, 0.7, dx_coeff=0.0, dy_coeff=1.0)
-    if scenario.form == "rect2":
-        return RectangleForm(2, 0.3, 0.7, 0.3, 0.7, density=1.0)
-    raise ValueError(f"unknown form kind {scenario.form!r}")
-
-
-def _build_velocity(scenario: Scenario):
-    if scenario.velocity == "constant":
-        return ConstantVelocity(1.0, 1.0)
-    if scenario.velocity == "rudman":
-        return rudman_vortex()
-    if scenario.velocity == "zero":
-        return ConstantVelocity(0.0, 0.0)
-    raise ValueError(f"unknown velocity kind {scenario.velocity!r}")
 
 
 def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
@@ -215,10 +232,6 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
     return Cochain.from_plane(grid, 2, w - net)
 
 
-def _negated(vel: StaggeredVelocity) -> StaggeredVelocity:
-    return StaggeredVelocity(vel.grid, -vel.flux_x, -vel.flux_y)
-
-
 def _dump_steps(total: int, dumps: int) -> set:
     chosen = {0, total}
     if dumps > 0:
@@ -232,74 +245,66 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
 
     The (dt, steps) of every pair are resolved before the first run
     starts, so a bad time step at any resolution fails before any
-    directory is made.
+    directory is made. Each pair runs one leg, or two for a reversing
+    velocity (the second in the negated field, built once the first
+    ends), under one observer: it dumps the wanted states, counted
+    across both legs, and for a 2-form advances flux differencing with
+    the leg's field and records the largest gap to the geometric state.
+    A pair's directory is made when state 0 is dumped, which advect does
+    only after its checks, so a run that fails them leaves none.
     """
+    field, reverses = _VELOCITIES[scenario.velocity]
+    legs = 2 if reverses else 1
     h0 = 1.0 / scenario.resolutions[0]
-    legs = []
+    runs = []
     for n in scenario.resolutions:
         grid = build_complex(n, n, 1.0 / n)
-        vel = discretize_velocity(_build_velocity(scenario), grid)
-        runs = [(scheme, *_resolve_steps(scenario, scheme, vel, grid.h, h0))
-                for scheme in scenario.schemes]
-        legs.append((grid, vel, runs))
+        vel = discretize_velocity(field, grid)
+        pairs = [(scheme, *_resolve_steps(scenario, scheme, vel, grid.h, h0))
+                 for scheme in scenario.schemes]
+        runs.append((grid, vel, pairs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    for grid, vel, runs in legs:
+    for grid, vel, pairs in runs:
         n = grid.nx
-        w0 = discretize(_build_form(scenario), grid)
-        for scheme, dt, steps in runs:
-            total = 2 * steps if scenario.reverse else steps
+        w0 = discretize(_FORMS[scenario.form], grid)
+        lockstep = w0.degree == 2
+        for scheme, dt, steps in pairs:
+            total = legs * steps
             wanted = _dump_steps(total, scenario.dumps)
             cfg = AdvectionConfig(dt=dt, steps=steps, scheme=scheme)
             rundir = out / f"{n}_{scheme.value}"
-            rundir.mkdir(parents=True, exist_ok=True)
+            fv, worst = w0, 0.0
 
-            def dump(k: int, w: Cochain) -> None:
-                if k in wanted:
-                    write_field(rundir / f"field_{k:06d}.txt", w)
-                    write_pgm(rundir / f"field_{k:06d}.pgm", render_field(w))
+            def observe(k: int, w: Cochain) -> None:
+                nonlocal fv, worst
+                if k and lockstep:
+                    fv = split_fv_step(fv, leg_vel, dt, scheme)
+                    worst = max(worst, float(np.max(np.abs(w.values - fv.values))))
+                at = offset + k
+                if at == 0:
+                    rundir.mkdir(exist_ok=True)
+                if (k or not offset) and at in wanted:
+                    write_field(rundir / f"field_{at:06d}.txt", w)
+                    write_pgm(rundir / f"field_{at:06d}.pgm", render_field(w))
 
             started = time.perf_counter()
-            if scenario.equivalence_check:
-                final = _run_equivalence(w0, vel, cfg, rundir, dump)
-            else:
-                final = advect(w0, vel, cfg, observer=dump)
-                if scenario.reverse:
-                    back = _negated(vel)
-                    final = advect(final, back, cfg,
-                                   observer=lambda k, w: dump(steps + k, w) if k else None)
+            final, leg_vel = w0, vel
+            for offset in range(0, total, steps):
+                if offset:
+                    leg_vel = StaggeredVelocity(vel.grid, -vel.flux_x, -vel.flux_y)
+                final = advect(final, leg_vel, cfg, observer=observe)
             runtime_ms = (time.perf_counter() - started) * 1e3
+            if lockstep:
+                (rundir / "equivalence.txt").write_text(
+                    f"steps {total}\nmax_abs_diff {worst!r}\n")
             diff = axpy(-1.0, w0, final)
             records.append(ErrorRecord(
                 resolution=n, scheme=scheme,
                 l1=norm(diff, 1), l2=norm(diff, 2), runtime_ms=runtime_ms))
     write_error_table(out / "errors.csv", records)
     return records
-
-
-def _run_equivalence(w0: Cochain, vel: StaggeredVelocity, cfg: AdvectionConfig,
-                     rundir: Path, dump) -> Cochain:
-    """advect's geometric steps with flux differencing in lockstep.
-
-    The observer advances the flux-differencing state once per geometric
-    step and records the largest gap between the two; equivalence.txt is
-    written once advect returns.
-    """
-    fv = w0
-    worst = 0.0
-
-    def compare(k: int, geo: Cochain) -> None:
-        nonlocal fv, worst
-        if k:
-            fv = split_fv_step(fv, vel, cfg.dt, cfg.scheme)
-            worst = max(worst, float(np.max(np.abs(geo.values - fv.values))))
-        dump(k, geo)
-
-    final = advect(w0, vel, cfg, observer=compare)
-    (rundir / "equivalence.txt").write_text(
-        f"steps {cfg.steps}\nmax_abs_diff {worst!r}\n")
-    return final
 
 
 def fit_convergence_slope(records) -> dict:

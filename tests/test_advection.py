@@ -57,6 +57,10 @@ def test_config_validation():
         AdvectionConfig(0.1, 5, courant_limit=0.0)
     with pytest.raises(ValueError):
         AdvectionConfig(0.1, 5, courant_limit=1.5)
+    # nor a Courant limit
+    with pytest.raises(ValueError,
+                       match=r"^courant_limit must lie in \(0, 1\], got True$"):
+        AdvectionConfig(0.1, 5, courant_limit=True)
 
 
 def test_increment_respects_configured_limit():

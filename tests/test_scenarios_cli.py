@@ -30,7 +30,6 @@ def test_scenario_registry():
     assert scenario_names() == ALL_SCENARIOS
     sq = builtin_scenario("square-translate")
     assert sq.base_dt == 1e-3
-    assert builtin_scenario("rudman-vortex").reverse
     with pytest.raises(ValueError):
         builtin_scenario("nope")
 
@@ -89,6 +88,34 @@ def test_scenario_validation(tmp_path, monkeypatch):
     dumps = Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), dumps=np.int16(3)).dumps
     assert dumps == 3 and type(dumps) is int
+    # An unknown form or velocity kind fails when the scenario is made,
+    # before any directory exists.
+    for field, bad in (("form", "rect3"), ("velocity", "swirl")):
+        kinds = {"form": "rect1", "velocity": "zero", field: bad}
+        with pytest.raises(ValueError, match=rf"^unknown {field} kind '{bad}' "
+                                             r"\(options: "):
+            run_scenario(Scenario(name="x", resolutions=(8,), **kinds),
+                         tmp_path / "kind")
+    assert not (tmp_path / "kind").exists()
+    # Schemes resolve by name when the scenario is made. Each (resolution,
+    # scheme) pair names one run directory, so neither list repeats.
+    named = Scenario(name="x", form="rect1", velocity="constant",
+                     resolutions=(8,), schemes=("weno5",), base_dt=1e-3,
+                     steps=1)
+    assert named.schemes == (SchemeKind.WENO5,)
+    assert [r.scheme for r in run_scenario(named, tmp_path / "named")] == [
+        SchemeKind.WENO5]
+    for bad_schemes in ((), ("upwind", "upwind"), (SchemeKind.WENO7, "weno7")):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad_schemes!r}") + "$"):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=(8,), schemes=bad_schemes)
+    with pytest.raises(ValueError, match=r"^unknown scheme None \(options: "):
+        Scenario(name="x", form="rect1", velocity="zero",
+                 resolutions=(8,), schemes=(None,))
+    for bad_res, shown in (((8, 8), "(8, 8)"), ((16, np.int64(16)), "(16, 16)")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shown}") + "$"):
+            Scenario(name="x", form="rect1", velocity="zero",
+                     resolutions=bad_res)
     # Only the finer leg exceeds the step limit (dt halves with h, so it
     # needs about 1.3e7 steps against 6.7e6 at 8^2); it must fail before
     # any run starts or any directory is made.
@@ -184,6 +211,18 @@ def test_equivalence_scenario_reports_zero_gap(tmp_path):
     for scheme in ("upwind", "weno7"):
         text = (tmp_path / f"8_{scheme}" / "equivalence.txt").read_text()
         assert text == "steps 5\nmax_abs_diff 0.0\n"
+    # Every 2-form run is checked, a reversed one over both legs, each
+    # against flux differencing in that leg's field.
+    vortex = Scenario(name="x", form="rect2", velocity="rudman",
+                      resolutions=(8,), schemes=("upwind", "weno5"),
+                      base_dt=1e-3, steps=3, dumps=2)
+    run_scenario(vortex, tmp_path / "vortex")
+    for scheme in ("upwind", "weno5"):
+        rundir = tmp_path / "vortex" / f"8_{scheme}"
+        text = (rundir / "equivalence.txt").read_text()
+        assert text == "steps 6\nmax_abs_diff 0.0\n"
+        names = sorted(p.name for p in rundir.glob("field_??????.txt"))
+        assert names == [f"field_{k:06d}.txt" for k in (0, 3, 6)]
 
 
 def test_equivalence_scenario_reports_a_gap(tmp_path, monkeypatch):
@@ -302,9 +341,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "e")]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: step 1 (upwind, 16x16): courant number")
-    # advect checks the Courant number before its observer dumps state 0
+    # advect checks the Courant number before its observer dumps state 0,
+    # and a run's directory is made with that dump, so none is left
     for name in ("c", "e"):
-        assert not list((tmp_path / name).glob("*/field_*"))
+        assert not list((tmp_path / name).rglob("*"))
     # a time step or step count that is no step at all is a configuration
     # error, caught before any directory is made
     for dt in ("0", "-0.001", "inf", "nan"):
