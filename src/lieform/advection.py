@@ -24,7 +24,10 @@ and second-term planes; and the WENO contraction's averaged planes,
 wrapped copies, windows and kernel temporaries (see reconstruct.py). A
 1-form upwind step needs four planes of it. Nothing that step returns
 lives in it. Called without a workspace, every operator returns fresh
-buffers.
+buffers. Every buffer, the workspace's and the fresh ones alike,
+starts on a 64-byte line (forms._empty): numpy aligns to 16 bytes only,
+and its AVX-512 loops run about twice as fast on an output that starts
+on a line, so the step's speed does not follow the allocation history.
 
 Of the two pieces one is always fresh: for a 0-form the second, the
 zero form d makes of the empty contraction; otherwise the first. The

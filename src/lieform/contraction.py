@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Cochain, scratch
+from .forms import Cochain, _empty, scratch
 from .grid import _require_positive
 from .reconstruct import (CourantError, SchemeKind, _reconstruct,
                           _require_extent)
@@ -80,7 +80,7 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     """
     grid = omega.grid
     w = omega.plane()
-    planes = np.empty((2, *grid.shape))
+    planes = _empty((2, *grid.shape))
     ex, ey = planes
     neg_x, neg_y = vel._face_negative
     upwind = scheme is SchemeKind.UPWIND

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import scratch
+from .forms import _empty, scratch
 from .grid import _is_count, _require_positive, _roll_into
 
 SMOOTH_EPS = 1e-6
@@ -380,8 +380,9 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
 
     This is one job of _reconstruct with no workspace: every temporary
     and the result are fresh arrays, and the result is a C-ordered
-    float64 plane. The checks are made here, the plane's extent along
-    axis among them; _reconstruct makes none.
+    float64 plane that starts on a 64-byte line (forms._empty). The
+    checks are made here, the plane's extent along axis among them;
+    _reconstruct makes none.
     """
     scheme = SchemeKind.from_name(scheme)
     if not _is_count(axis, 0, 1):
@@ -395,7 +396,7 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
         raise ValueError(f"signs shape {signs.shape} != plane shape {u.shape}")
     if not np.isfinite(signs).all():
         raise ValueError("signs must be finite")
-    out = np.empty(u.shape)
+    out = _empty(u.shape)
     _reconstruct([(u, axis, _negative(signs))], scheme, None, out[None])
     return out
 

@@ -95,6 +95,12 @@ class Scenario:
             if kind not in table:
                 raise ValueError(f"unknown {what} kind {kind!r} "
                                  f"(options: {', '.join(table)})")
+        # A bare str or bytes would iterate as characters or byte values.
+        for what in ("resolutions", "schemes"):
+            value = getattr(self, what)
+            if isinstance(value, (str, bytes)):
+                raise ValueError(f"scenario {what} must be a collection, "
+                                 f"not {type(value).__name__} {value!r}")
         if not self.resolutions:
             raise ValueError("scenario needs at least one resolution")
         for n in self.resolutions:

@@ -18,6 +18,9 @@ the WENO windows and the upwind reads of a cell plane, the masks of
 the averaged node fluxes pick the WENO windows of an edge plane, and
 those of the unhalved node sums its upwind reads. Every one of them
 follows reconstruct._negative, so -0.0 counts as positive everywhere.
+The flux copies, the node sums and the node fluxes are written straight
+into buffers that start on a 64-byte line, as every float buffer of a
+step does (forms._empty).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .forms import _empty
 from .grid import GridComplex2D, shifted
 from .reconstruct import _negative
 
@@ -47,11 +51,13 @@ class StaggeredVelocity:
 
     def __post_init__(self) -> None:
         for name in ("flux_x", "flux_y"):
-            plane = np.array(getattr(self, name), dtype=np.float64)
-            if plane.shape != self.grid.shape:
-                raise ValueError(f"{name} shape {plane.shape} != {self.grid.shape}")
-            if not np.isfinite(plane).all():
+            given = np.asarray(getattr(self, name), dtype=np.float64)
+            if given.shape != self.grid.shape:
+                raise ValueError(f"{name} shape {given.shape} != {self.grid.shape}")
+            if not np.isfinite(given).all():
                 raise ValueError(f"{name} contains non-finite entries")
+            plane = _empty(given.shape)
+            plane[...] = given
             object.__setattr__(self, name, _read_only(plane))
 
     @cached_property
@@ -61,12 +67,14 @@ class StaggeredVelocity:
     @cached_property
     def _node_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Unhalved two-point sums of each flux onto the vertex lattice."""
-        return (_read_only(self.flux_x + shifted(self.flux_x, dj=-1)),
-                _read_only(self.flux_y + shifted(self.flux_y, di=-1)))
+        fx, fy = self.flux_x, self.flux_y
+        return (_read_only(np.add(fx, shifted(fx, dj=-1), out=_empty(fx.shape))),
+                _read_only(np.add(fy, shifted(fy, di=-1), out=_empty(fy.shape))))
 
     @cached_property
     def _node_fluxes(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_read_only(s / 2.0) for s in self._node_sums)
+        return tuple(_read_only(np.divide(s, 2.0, out=_empty(s.shape)))
+                     for s in self._node_sums)
 
     @cached_property
     def _face_negative(self) -> tuple:

@@ -63,6 +63,15 @@ def test_scenario_validation(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=re.escape(f"got {bad_steps!r}") + "$"):
             Scenario(name="x", form="rect1", velocity="zero",
                      resolutions=(8,), steps=bad_steps)
+    # A bare scheme name or resolution is named as given, not split into
+    # characters or byte values.
+    for field, bad in (("schemes", "weno5"), ("resolutions", "16"),
+                       ("resolutions", b"16"), ("schemes", b"weno5")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be a collection, not {type(bad).__name__} "
+                f"{bad!r}") + "$"):
+            Scenario(**{"name": "x", "form": "rect1", "velocity": "zero",
+                        "resolutions": (8,), field: bad})
     sc = Scenario(name="x", form="rect1", velocity="zero",
                   resolutions=[np.int64(8), 16], steps=np.int32(3))
     assert sc.resolutions == (8, 16) and sc.steps == 3
