@@ -12,22 +12,32 @@ axpy (-1) * increment + omega bit for bit, since IEEE arithmetic
 defines a - b as a + (-b).
 
 Each advect call makes one workspace, a dict, and owns it: step passes
-it down through lie_increment to exterior_derivative and contract, and
-forms.scratch hands out its buffers, one per (role, shape). Only that
-call uses it, one operator at a time, so two advect calls (in one
-thread or in two) never share a buffer; the rule for thread safety is
-that one advect call owns its workspace, and a caller that passes a
-workspace to step or contract itself must not share it between
-threads. It holds the buffers that die within a step: d's result and
-its shifted plane; the upwind contraction's 0-form and its c * flux
-and second-term planes; and the WENO contraction's averaged planes,
-wrapped copies, windows and kernel temporaries (see reconstruct.py). A
-1-form upwind step needs four planes of it. Nothing that step returns
-lives in it. Called without a workspace, every operator returns fresh
-buffers. Every buffer, the workspace's and the fresh ones alike,
-starts on a 64-byte line (forms._empty): numpy aligns to 16 bytes only,
-and its AVX-512 loops run about twice as fast on an output that starts
-on a line, so the step's speed does not follow the allocation history.
+it down through lie_increment to exterior_derivative, the contraction
+bodies and reconstruct._reconstruct, and forms.scratch hands out its
+buffers, one per (role, shape). Only that call uses it, one operator at
+a time, so two advect calls (in one thread or in two) never share a
+buffer; the rule for thread safety is that one advect call owns its
+workspace, and a caller that passes a workspace to step or contract
+itself must not share it between threads.
+
+lie_increment splits both contractions of the step at their reads
+(contraction._contraction) and reads all their interfaces in one
+_reconstruct call; then it runs both contractions' arithmetic and the
+Cartan sum. So the workspace holds d omega while the contraction of
+omega reads. It holds the buffers that die within a step: d's result
+and its shifted plane; the 1-form contraction's two read planes and its
+0-form; the upwind 2-form contraction's c * flux plane; the WENO
+contractions' averaged planes; and the wrapped copies, windows and
+kernel temporaries of the step's one reconstruction call (see
+reconstruct.py). A 1-form upwind step needs four planes of it: the
+"form" plane that holds d omega, into which the 1-form contraction then
+reads its first node term, the "tmp" plane, and the 1-form d makes of
+the contraction's 0-form. Nothing that step returns lives in it. Called
+without a workspace, every operator returns fresh buffers. Every
+buffer, the workspace's and the fresh ones alike, starts on a 64-byte
+line (forms._empty): numpy aligns to 16 bytes only, and its AVX-512
+loops run about twice as fast on an output that starts on a line, so
+the step's speed does not follow the allocation history.
 
 Of the two pieces one is always fresh: for a 0-form the second, the
 zero form d makes of the empty contraction; otherwise the first. The
@@ -44,13 +54,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contraction import _require_same_grid, contract
+from .contraction import _contraction, _require_same_grid
+# Unused here, but perfbench wraps lieform.advection.contract.
+from .contraction import contract  # noqa: F401
 from .derivative import exterior_derivative
 from .forms import Cochain, NonFiniteValueError, _check_finite
 # Unused here, but perfbench wraps lieform.advection.axpy.
 from .forms import axpy  # noqa: F401
 from .grid import _is_count, _require_positive
-from .reconstruct import CourantError, SchemeKind, _require_extent
+from .reconstruct import (CourantError, SchemeKind, _reconstruct,
+                          _require_extent)
 from .velocity import StaggeredVelocity, max_courant
 
 
@@ -92,12 +105,27 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
     """Single-step transport increment (Cartan assembly), any degree.
 
     The increment is a fresh buffer, also when a workspace is passed.
+    The contraction bodies check nothing, so the checks contract would
+    make are made here, once: the Courant number against the configured
+    limit (at most 1, contract's hard limit), the grid match and the
+    extent; config has checked dt.
     """
     _check_courant(vel, config)
-    a = contract(exterior_derivative(omega, work), vel, config.dt,
-                 config.scheme, work).cochain
-    b = exterior_derivative(
-        contract(omega, vel, config.dt, config.scheme, work).cochain, work)
+    grid, dt, scheme = omega.grid, config.dt, config.scheme
+    _require_same_grid(omega, vel)
+    _require_extent(min(grid.nx, grid.ny), scheme)
+    # Both contractions read in one call, since their reads need only
+    # omega and d omega. For a 1-form, d omega is the "form" plane that
+    # the upwind 1-form contraction reads into: the 2-form's jobs, which
+    # read d omega, come first, and upwind jobs run in order. The
+    # 1-form's arithmetic runs first, as it frees the "tmp" plane that
+    # the 2-form's upwind arithmetic writes.
+    jobs_a, out_a, finish_a = _contraction(
+        exterior_derivative(omega, work), vel, dt, scheme, work)
+    jobs_b, out_b, finish_b = _contraction(omega, vel, dt, scheme, work)
+    _reconstruct(jobs_a + jobs_b, scheme, work, [*out_a, *out_b])
+    b = exterior_derivative(finish_b(), work)
+    a = finish_a()
     # The sum goes into the fresh piece; addition commutes, so the bits
     # do not depend on which piece that is.
     fresh, other = (b, a) if omega.degree == 0 else (a, b)

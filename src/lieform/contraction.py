@@ -9,13 +9,18 @@ degrees uniformly.
 contract is the one public entry. It resolves the scheme and checks
 the grid match, dt, the grid's extent against the stencil and the
 Courant number, once per call; the bodies below it, _contract_2form and
-_contract_1form, check nothing. Each body reads its two interface sets
-in one call of reconstruct._reconstruct, whatever the scheme
-(reconstruct.py says how an interface is read); the scheme picks only
-what goes in and the arithmetic after the read. _contract_2form pairs
-(w, 0, flux_y) with (w, 1, flux_x), and _contract_1form pairs (wx, 1,
-x node flux) with (wy, 0, y node flux), each job with its flux's
-negative-sign mask, which the velocity computes once.
+_contract_1form, check nothing. Each body is split at its reads: it
+returns its two reconstruct._reconstruct jobs, the planes their results
+go into, and a finish() that runs the arithmetic after the read and
+returns the contraction (reconstruct.py says how an interface is read);
+_contraction picks the body by degree, and the empty degrees read
+nothing. contract makes the one read of one form and finishes it;
+advection.lie_increment reads both contractions of a step in one call
+and then finishes both. The scheme picks only what goes in and the
+arithmetic after the read. _contract_2form pairs (w, 0, flux_y) with
+(w, 1, flux_x), and _contract_1form pairs (wx, 1, x node flux) with
+(wy, 0, y node flux), each job with its flux's negative-sign mask,
+which the velocity computes once.
 
 The piecewise-constant paths read integral values and keep every
 product and sum in the exact order of the reference loop formulation;
@@ -33,9 +38,10 @@ Each result is one flat buffer: a 1-form's x and y components are
 the two halves of a fresh buffer, written directly, and a 0-form's
 plane is reshaped, not copied. With a workspace (see advection.py) the
 0-form is its "form" buffer, the one result that lives there, which d
-consumes next; every other plane of a contraction (the scaled inputs,
-the c * flux planes, the second node term) is a "tmp" buffer of it;
-without one they are fresh.
+consumes next; the upwind 1-form reads go into the "form" and "tmp"
+planes, the WENO 1-form reads into the "tmp" (2, ny, nx) buffer, and
+every other plane of a contraction (the scaled 2-form, the c * flux
+planes) is a "tmp" buffer of it; without one they are fresh.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ def _integrate(r, flux, dt: float, h: float) -> None:
 
 
 def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                    scheme: SchemeKind, work: dict | None = None) -> Cochain:
+                    scheme: SchemeKind, work: dict | None = None) -> tuple:
     """Transport swept through each edge, as a 1-form.
 
     Each face reads its upwind cell by the sign of its flux, through the
@@ -81,26 +87,29 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     grid = omega.grid
     w = omega.plane()
     planes = _empty((2, *grid.shape))
-    ex, ey = planes
     neg_x, neg_y = vel._face_negative
     upwind = scheme is SchemeKind.UPWIND
     u = w if upwind else np.divide(w, grid.h,
                                    out=scratch(work, "tmp", grid.shape))
-    _reconstruct([(u, 0, neg_y), (u, 1, neg_x)], scheme, work, planes)
-    if upwind:
-        c = dt / grid.h ** 2
-        coef = scratch(work, "tmp", grid.shape)
-        ex *= np.multiply(-c, vel.flux_y, out=coef)
-        ey *= np.multiply(c, vel.flux_x, out=coef)
-    else:
-        _integrate(ex, vel.flux_y, dt, grid.h)
-        ex *= -1.0
-        _integrate(ey, vel.flux_x, dt, grid.h)
-    return Cochain(grid, 1, planes.ravel())
+
+    def finish() -> Cochain:
+        ex, ey = planes
+        if upwind:
+            c = dt / grid.h ** 2
+            coef = scratch(work, "tmp", grid.shape)
+            ex *= np.multiply(-c, vel.flux_y, out=coef)
+            ey *= np.multiply(c, vel.flux_x, out=coef)
+        else:
+            _integrate(ex, vel.flux_y, dt, grid.h)
+            ex *= -1.0
+            _integrate(ey, vel.flux_x, dt, grid.h)
+        return Cochain(grid, 1, planes.ravel())
+
+    return [(u, 0, neg_y), (u, 1, neg_x)], planes, finish
 
 
 def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                    scheme: SchemeKind, work: dict | None = None) -> Cochain:
+                    scheme: SchemeKind, work: dict | None = None) -> tuple:
     """Transport of edge values onto vertices, as a 0-form.
 
     Fluxes are averaged onto the vertex lattice (two-point transverse
@@ -122,20 +131,44 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
         u = out = np.divide(planes, grid.h,
                             out=scratch(work, "tmp", (2, *grid.shape)))
         neg_x, neg_y = vel._node_negative
-    _reconstruct([(u[0], 1, neg_x), (u[1], 0, neg_y)], scheme, work, out)
-    if upwind:
-        node, part = out
-        sum_x, sum_y = vel._node_sums
-        node *= sum_x
-        part *= sum_y
-        node += part
-        node *= dt / (2.0 * grid.h ** 2)
-    else:
-        avg_x, avg_y = average_to_node(vel)
-        _integrate(u[0], avg_x, dt, grid.h)
-        _integrate(u[1], avg_y, dt, grid.h)
-        node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
-    return Cochain(grid, 0, node.ravel())
+
+    def finish() -> Cochain:
+        if upwind:
+            node, part = out
+            sum_x, sum_y = vel._node_sums
+            node *= sum_x
+            part *= sum_y
+            node += part
+            node *= dt / (2.0 * grid.h ** 2)
+        else:
+            avg_x, avg_y = average_to_node(vel)
+            _integrate(u[0], avg_x, dt, grid.h)
+            _integrate(u[1], avg_y, dt, grid.h)
+            node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
+        return Cochain(grid, 0, node.ravel())
+
+    return [(u[0], 1, neg_x), (u[1], 0, neg_y)], out, finish
+
+
+def _contraction(omega: Cochain, vel: StaggeredVelocity, dt: float,
+                 scheme: SchemeKind, work: dict | None = None) -> tuple:
+    """omega's contraction split at its reads: (jobs, out, finish).
+
+    jobs and out are one _reconstruct call's jobs and output planes;
+    finish() runs the arithmetic on the results and returns the
+    contraction. The empty degrees read nothing.
+    """
+    if omega.degree == 2:
+        return _contract_2form(omega, vel, dt, scheme, work)
+    if omega.degree == 1:
+        return _contract_1form(omega, vel, dt, scheme, work)
+    grid = omega.grid
+    if omega.degree == 0:
+        # degree drops below 0
+        return [], (), lambda: Cochain.empty(grid, -1)
+    if omega.degree == 3:
+        return [], (), lambda: Cochain.zeros(grid, 2)
+    raise ValueError(f"cannot contract degree {omega.degree}")
 
 
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
@@ -149,14 +182,6 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
     nu = max_courant(vel, dt)
     if nu > 1.0:
         raise CourantError(f"courant number {nu:.6g} exceeds the hard limit 1")
-    if omega.degree == 2:
-        out = _contract_2form(omega, vel, dt, scheme, work)
-    elif omega.degree == 1:
-        out = _contract_1form(omega, vel, dt, scheme, work)
-    elif omega.degree == 0:
-        out = Cochain.empty(grid, -1)     # degree drops below 0
-    elif omega.degree == 3:
-        out = Cochain.zeros(grid, 2)
-    else:
-        raise ValueError(f"cannot contract degree {omega.degree}")
-    return ContractionResult(out, dt)
+    jobs, out, finish = _contraction(omega, vel, dt, scheme, work)
+    _reconstruct(jobs, scheme, work, out)
+    return ContractionResult(finish(), dt)

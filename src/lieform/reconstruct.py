@@ -46,23 +46,27 @@ wrapped copy or of the caller's plane, or window buffers, and are never
 written: every chain starts in a slot of its own.
 
 Workspace contract (see advection.py for who owns the workspace).
-_reconstruct takes one or two jobs and a workspace, a dict that
-forms.scratch hands buffers out of, one per (role, shape). A WENO pass
-uses three roles:
+_reconstruct takes any number of jobs of one plane shape and a
+workspace, a dict that forms.scratch hands buffers out of, one per
+(role, shape). A step makes one such call, with the jobs of both its
+contractions. A WENO pass uses three roles:
   - "weno": the kernel temporaries of one pass, one block of slots of
     the pass's shape (7 for WENO5, 9 for WENO7), fetched once per pass;
   - "window": the windows of a mixed pass, one (width, jobs, ny, nx)
     block;
   - "pad": the wrapped copy of a job's plane.
 An upwind read takes nothing from the workspace. WENO jobs with a
-negative sign share one pass; each one-signed job runs a pass of its
-own on views of its wrapped copy. The results always go into the
-caller's out, so no result lives in the workspace, and the workspace
-holds nothing between calls that a later call relies on. One workspace
-must not be used by two calls at once: one advect call owns its
-workspace, and no workspace is module-level or shared by threads. The
-public interface_point_values is a one-job call with no workspace: its
-temporaries are fresh, and its result is a fresh C-ordered plane.
+negative sign share capped passes: in order, as many as fit in
+_PASS_INTERFACES interfaces go into one pass, so a 48x48 step's four
+mixed jobs run in one pass and from 96x96 up each job runs alone. Each
+one-signed job runs a pass of its own on views of its wrapped copy. The
+results always go into the caller's out, so no result lives in the
+workspace, and the workspace holds nothing between calls that a later
+call relies on. One workspace must not be used by two calls at once:
+one advect call owns its workspace, and no workspace is module-level or
+shared by threads. The public interface_point_values is a one-job call
+with no workspace: its temporaries are fresh, and its result is a fresh
+C-ordered plane.
 
 Which window an interface takes is decided by _negative, the one
 statement of the sign rule: a flow sign below 0.0 reads the mirrored
@@ -160,6 +164,12 @@ def _ops(x) -> tuple:
 
 # Slots of None, enough for a pass of either WENO scheme (see _WENO).
 _FRESH = (None,) * 9
+
+# Mixed-sign jobs share a kernel pass up to this many interfaces. A
+# WENO7 pass holds 7 window planes and 9 kernel slots, so at 2**14
+# interfaces its 16 planes of float64 take 2 MB and stay near the 2 MB
+# L2 cache; larger passes spill and run slower per interface.
+_PASS_INTERFACES = 2 ** 14
 
 
 def _beta5(curv, slope):
@@ -416,7 +426,7 @@ def _negative(signs: np.ndarray) -> np.ndarray | None:
 
 def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
                  out) -> None:
-    """Interface values of one or two jobs of one plane shape, into out.
+    """Interface values of any number of jobs of one plane shape, into out.
 
     A job is (u, axis, neg): the plane of cell averages (or of integral
     values: an upwind read only copies), the axis of its interfaces, and
@@ -427,26 +437,28 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
     Upwind: out[j] is the entry one step back along axis, a periodic
     shift that joins the plane's blocks [k:] and [:k], k = extent - 1,
     by grid._roll_into; where the mask is set, np.copyto then copies
-    the plane itself over it. out may be any sequence of planes, and no
-    workspace buffer is used. out[j] must not overlap job j's plane:
-    np.concatenate would read blocks it has already overwritten.
+    the plane itself over it. No workspace buffer is used. out[j] must
+    not overlap job j's plane: np.concatenate would read blocks it has
+    already overwritten.
 
     WENO: each interface is reconstructed once from shifts 0..width of
     its plane (see _shifts): the positive window is shifts 0..width-1
-    and the negative window is shifts width..1. The jobs with a mask
-    share one kernel pass: window m of the k-th of them is plane k of a
-    (width, jobs, ny, nx) buffer, filled with shift m and then, where
-    the mask is set, with shift width - m, so every ufunc of the pass
-    covers both jobs. A job without a mask runs a pass of its own on the
-    shifts themselves, which are views and cost no copy; along axis 1 it
-    runs on the transpose of its plane, so each shift is a contiguous
-    block of rows, and the elementwise kernel gives the same bits in
-    either layout. With a workspace the wrapped copies, windows and
-    kernel temporaries are its buffers (forms.scratch roles "pad",
-    "window" and "weno", each keyed by shape), fetched once per pass;
-    with work None they are fresh arrays. out is a (jobs, ny, nx) array
-    that may be the jobs' own planes stacked: job j's plane is read
-    before its result is written, and no other job reads it.
+    and the negative window is shifts width..1. The jobs with a mask,
+    taken in order, share kernel passes of at most _PASS_INTERFACES
+    interfaces (see _mixed_pass). A job without a mask runs a pass of
+    its own on the shifts themselves, which are views and cost no copy;
+    along axis 1 it runs on the transpose of its plane, so each shift is
+    a contiguous block of rows, and the elementwise kernel gives the
+    same bits in either layout. With a workspace the wrapped copies,
+    windows and kernel temporaries are its buffers (forms.scratch roles
+    "pad", "window" and "weno", each keyed by shape), fetched once per
+    pass; with work None they are fresh arrays.
+
+    out is any sequence of (ny, nx) planes, one per job, none of them a
+    "pad", "window" or "weno" buffer. A WENO out[j] may be job j's own
+    plane if no other job reads it: each plane is read before its
+    result is written. Upwind jobs run in order, so an upwind out[j]
+    may be the plane of an earlier job.
     """
     width = scheme.stencil_width
     mixed = []
@@ -457,6 +469,9 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
             if neg is not None:
                 np.copyto(read, u, where=neg)
         elif neg is not None:
+            if mixed and (len(mixed) + 1) * u.size > _PASS_INTERFACES:
+                _mixed_pass(mixed, scheme, work, out)
+                mixed = []
             mixed.append((j, u, axis, neg))
         elif axis == 0:
             _left_biased(scheme, _shifts(u, 0, width, work)[:width],
@@ -468,15 +483,33 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
                 scheme, _shifts(u.T, 0, width, work)[:width],
                 _slots(work, scheme, u.T.shape)).T)
     if mixed:
-        shape = (len(mixed),) + jobs[0][0].shape
-        windows = scratch(work, "window", (width,) + shape)
-        for k, (j, u, axis, neg) in enumerate(mixed):
-            shifts = _shifts(u, axis, width, work)
-            np.copyto(windows[:, k], shifts[:width])
-            np.copyto(windows[:, k], shifts[width:0:-1], where=neg)
-        lo = mixed[0][0]
-        _left_biased(scheme, windows, _slots(work, scheme, shape),
-                     out[lo:lo + len(mixed)])
+        _mixed_pass(mixed, scheme, work, out)
+
+
+def _mixed_pass(mixed, scheme: SchemeKind, work: dict | None, out) -> None:
+    """One kernel pass over the mixed-sign jobs [(j, u, axis, neg), ...].
+
+    Window m of the k-th job is plane k of a (width, jobs, ny, nx)
+    buffer, filled with shift m and then, where the mask is set, with
+    shift width - m, so every ufunc of the pass covers all its jobs. A
+    one-job pass writes its result straight into out[j]; a longer one
+    sums into its first kernel slot and copies each plane to its out[j],
+    since the jobs' outputs need not be one array.
+    """
+    width = scheme.stencil_width
+    shape = (len(mixed),) + mixed[0][1].shape
+    windows = scratch(work, "window", (width,) + shape)
+    for k, (j, u, axis, neg) in enumerate(mixed):
+        shifts = _shifts(u, axis, width, work)
+        np.copyto(windows[:, k], shifts[:width])
+        np.copyto(windows[:, k], shifts[width:0:-1], where=neg)
+    slots = _slots(work, scheme, shape)
+    if len(mixed) == 1:
+        _left_biased(scheme, windows, slots, out[mixed[0][0]][None])
+        return
+    result = _left_biased(scheme, windows, slots)
+    for k, (j, *_) in enumerate(mixed):
+        np.copyto(out[j], result[k])
 
 
 def _shifts(u: np.ndarray, axis: int, width: int,

@@ -326,12 +326,14 @@ _SIGN_PATTERNS = {
 
 
 @st.composite
-def _job_pairs(draw):
-    # Two jobs on one nx != ny plane shape at or just above the stencil
-    # minimum, each with its own axis and sign pattern; the jobs read
-    # one plane (as _contract_2form's do) or two; the results go to a
-    # given out, or, for WENO, over the jobs' own stacked planes (as
-    # _contract_1form's do). An upwind read must not overlap its plane.
+def _job_lists(draw):
+    # One to four jobs on one nx != ny plane shape at or just above the
+    # stencil minimum, each with its own axis and sign pattern, so
+    # one-signed and mixed jobs interleave; the jobs read one plane (as
+    # _contract_2form's do) or one each; the results go to a given
+    # array, to separate planes (as a step's one pass gives them), or,
+    # for WENO, over the jobs' own stacked planes (as _contract_1form's
+    # do). An upwind read must not overlap its plane.
     scheme = draw(st.sampled_from(list(SchemeKind)))
     ny = scheme.stencil_width + draw(st.integers(1, 3))
     nx = draw(st.sampled_from([n for n in range(scheme.stencil_width + 1,
@@ -340,44 +342,80 @@ def _job_pairs(draw):
     shape = (ny, nx)
     values = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
     jobs = []
-    for _ in range(2):
+    for _ in range(draw(st.integers(1, 4))):
         pattern = draw(st.sampled_from(sorted(_SIGN_PATTERNS)))
         signs = draw(hnp.arrays(np.float64, shape,
                                 elements=_SIGN_PATTERNS[pattern]))
         jobs.append([None, draw(st.sampled_from([0, 1])), signs])
     target = draw(st.sampled_from(
-        ["out"] if scheme is SchemeKind.UPWIND else ["out", "in place"]))
-    if target == "out" and draw(st.booleans()):
-        jobs[0][0] = jobs[1][0] = draw(values)
+        ["out", "planes"] if scheme is SchemeKind.UPWIND
+        else ["out", "planes", "in place"]))
+    if target != "in place" and draw(st.booleans()):
+        shared = draw(values)
+        for job in jobs:
+            job[0] = shared
     else:
-        planes = np.stack([draw(values), draw(values)])
-        jobs[0][0], jobs[1][0] = planes
+        planes = np.stack([draw(values) for _ in jobs])
+        for job, plane in zip(jobs, planes):
+            job[0] = plane
     return scheme, [tuple(job) for job in jobs], target
 
 
+def _assert_batched_pass(scheme, jobs, target, work):
+    # Each result equals its own public call bit for bit, shares no
+    # memory with the workspace, and a plane read into a given output
+    # is left as it was.
+    want = [interface_point_values(u, axis, signs, scheme)
+            for u, axis, signs in jobs]
+    keep = [u.copy() for u, _, _ in jobs]
+    shape = jobs[0][0].shape
+    if target == "out":
+        out = np.empty((len(jobs), *shape))
+    elif target == "planes":
+        out = [np.empty(shape) for _ in jobs]
+    else:
+        out = jobs[0][0].base
+    # A job names its negative signs by a mask, or by None when it
+    # has none, as the velocity caches them.
+    masks = [(u, axis, _negative(signs)) for u, axis, signs in jobs]
+    assert _reconstruct(masks, scheme, work, out) is None
+    for j in range(len(jobs)):
+        _assert_same_bits(out[j], want[j])
+        for buf in work.values():
+            assert not np.shares_memory(out[j], buf)
+        if target != "in place":
+            _assert_same_bits(jobs[j][0], keep[j])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_job_pairs(), min_size=2, max_size=3))
+@given(st.lists(_job_lists(), min_size=2, max_size=3))
 def test_batched_pass_matches_single_calls(cases):
     # One workspace serves every call, whatever its shapes and data, as
     # the workspace of one advect call serves every step. A stale or
     # shared buffer would leave one job's values in another's result.
     work = {}
     for scheme, jobs, target in cases:
-        want = [interface_point_values(u, axis, signs, scheme)
-                for u, axis, signs in jobs]
-        keep = [u.copy() for u, _, _ in jobs]
-        out = (np.empty((2, *jobs[0][0].shape)) if target == "out"
-               else jobs[0][0].base)
-        # A job names its negative signs by a mask, or by None when it
-        # has none, as the velocity caches them.
-        masks = [(u, axis, _negative(signs)) for u, axis, signs in jobs]
-        assert _reconstruct(masks, scheme, work, out) is None
-        for j in range(2):
-            _assert_same_bits(out[j], want[j])
-            for buf in work.values():
-                assert not np.shares_memory(out[j], buf)
-            if target == "out":
-                _assert_same_bits(jobs[j][0], keep[j])
+        _assert_batched_pass(scheme, jobs, target, work)
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
+def test_capped_passes_match_single_calls(scheme):
+    # Two mixed 96x96 jobs hold 18432 interfaces, more than one pass
+    # takes (2**14), so each runs a pass of its own; three mixed 32x32
+    # jobs share one. The workspace keys its windows by the pass's job
+    # count.
+    rng = np.random.default_rng(271)
+    for n, count, passes in ((96, 2, {1}), (32, 3, {3})):
+        jobs = [(rng.standard_normal((n, n)), k % 2,
+                 rng.uniform(-1.0, 1.0, (n, n))) for k in range(count)]
+        for target in ("out", "planes", "in place"):
+            if target == "in place":
+                planes = np.stack([u for u, _, _ in jobs])
+                jobs = [(plane, axis, signs) for plane, (_, axis, signs)
+                        in zip(planes, jobs)]
+            work = {}
+            _assert_batched_pass(scheme, jobs, target, work)
+            assert {key[1][1] for key in work if key[0] == "window"} == passes
 
 
 # Window entries from the ranges where rounding order shows: exact zeros
