@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contraction import _contraction, _require_same_grid
+from .contraction import _check_transport, _contraction
 # Unused here, but perfbench wraps lieform.advection.contract.
 from .contraction import contract  # noqa: F401
 from .derivative import exterior_derivative
@@ -62,9 +62,10 @@ from .forms import Cochain, NonFiniteValueError, _check_finite
 # Unused here, but perfbench wraps lieform.advection.axpy.
 from .forms import axpy  # noqa: F401
 from .grid import _is_count, _require_positive
-from .reconstruct import (CourantError, SchemeKind, _reconstruct,
-                          _require_extent)
-from .velocity import StaggeredVelocity, max_courant
+from .reconstruct import CourantError, SchemeKind, _reconstruct
+from .velocity import StaggeredVelocity
+# Unused here, but perfbench wraps lieform.advection.max_courant.
+from .velocity import max_courant  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,6 @@ class AdvectionConfig:
                 f"courant_limit must lie in (0, 1], got {self.courant_limit}")
 
 
-def _check_courant(vel: StaggeredVelocity, config: AdvectionConfig) -> None:
-    nu = max_courant(vel, config.dt)
-    if nu > config.courant_limit:
-        raise CourantError(
-            f"courant number {nu:.6g} exceeds the configured "
-            f"limit {config.courant_limit:g}")
-
-
 def _at_step(err: Exception, k: int, config: AdvectionConfig,
              grid) -> Exception:
     """err's type, its message prefixed with the step, scheme and grid."""
@@ -105,15 +98,11 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
     """Single-step transport increment (Cartan assembly), any degree.
 
     The increment is a fresh buffer, also when a workspace is passed.
-    The contraction bodies check nothing, so the checks contract would
-    make are made here, once: the Courant number against the configured
-    limit (at most 1, contract's hard limit), the grid match and the
-    extent; config has checked dt.
+    The run is checked here, once, by _check_transport with
+    config.courant_limit, as contract checks it; config has checked dt.
     """
-    _check_courant(vel, config)
-    grid, dt, scheme = omega.grid, config.dt, config.scheme
-    _require_same_grid(omega, vel)
-    _require_extent(min(grid.nx, grid.ny), scheme)
+    dt, scheme = config.dt, config.scheme
+    _check_transport(omega, vel, dt, scheme, config.courant_limit)
     # Both contractions read in one call, since their reads need only
     # omega and d omega. For a 1-form, d omega is the "form" plane that
     # the upwind 1-form contraction reads into: the 2-form's jobs, which
@@ -136,6 +125,12 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
 
 def step(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
          work: dict | None = None) -> Cochain:
+    """omega - lie_increment(omega), a fresh buffer also with work.
+
+    Checks, in order: the extent and the grid match (ValueError), the
+    Courant number against config.courant_limit (CourantError), then the
+    result: NonFiniteValueError names its first non-finite cell.
+    """
     out = lie_increment(omega, vel, config, work)
     values = out.values
     np.subtract(omega.values, values, out=values)
@@ -147,11 +142,9 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
            observer: Optional[Callable[[int, Cochain], None]] = None) -> Cochain:
     """Run config.steps updates; the observer sees state 0 first.
 
-    The run is checked before the observer is called: a grid too small
-    for the scheme's stencil, or a velocity on another grid, raises
-    ValueError, and a Courant number above config.courant_limit raises
-    CourantError. A CourantError or NonFiniteValueError raised by step k
-    is re-raised as the same type, its message prefixed with the step,
+    _check_transport checks the run, as in step, before the observer is
+    called. A CourantError or NonFiniteValueError raised by step k is
+    re-raised as the same type, its message prefixed with the step,
     scheme and grid size: "step k (scheme, NXxNY): ..."; the Courant
     check before the loop reads as step 1's. Each step calls the
     module-level step, so a replaced one is the one that runs, and it
@@ -161,10 +154,9 @@ def advect(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,
     observer sees only fresh states.
     """
     grid = omega.grid
-    _require_extent(min(grid.nx, grid.ny), config.scheme)
-    _require_same_grid(omega, vel)
     try:
-        _check_courant(vel, config)
+        _check_transport(omega, vel, config.dt, config.scheme,
+                         config.courant_limit)
     except CourantError as err:
         raise _at_step(err, 1, config, grid) from err
     state = omega

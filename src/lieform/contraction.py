@@ -6,10 +6,9 @@ empty degree -1 (geometrically zero) and the flagged degree-3 empty
 contracts to a genuine zero 2-form, so the advection assembly treats all
 degrees uniformly.
 
-contract is the one public entry. It resolves the scheme and checks
-the grid match, dt, the grid's extent against the stencil and the
-Courant number, once per call; the bodies below it, _contract_2form and
-_contract_1form, check nothing. Each body is split at its reads: it
+contract is the one public entry, and it makes the checks; the bodies
+below it, _contract_2form and _contract_1form, check nothing. Each body
+is split at its reads: it
 returns its two reconstruct._reconstruct jobs, the planes their results
 go into, and a finish() that runs the arithmetic after the read and
 returns the contraction (reconstruct.py says how an interface is read);
@@ -65,9 +64,17 @@ class ContractionResult:
     dt: float
 
 
-def _require_same_grid(omega: Cochain, vel: StaggeredVelocity) -> None:
+def _check_transport(omega: Cochain, vel: StaggeredVelocity, dt: float,
+                     scheme: SchemeKind, limit: float) -> None:
+    """The grid's extent against the stencil, then the grid match (each a
+    ValueError), then the Courant number against limit (CourantError)."""
+    _require_extent(min(omega.grid.nx, omega.grid.ny), scheme)
     if vel.grid != omega.grid:
         raise ValueError("velocity and form live on different grids")
+    nu = max_courant(vel, dt)
+    if nu > limit:
+        raise CourantError(
+            f"courant number {nu:.6g} exceeds the configured limit {limit:g}")
 
 
 def _integrate(r, flux, dt: float, h: float) -> None:
@@ -174,14 +181,14 @@ def _contraction(omega: Cochain, vel: StaggeredVelocity, dt: float,
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
              scheme: SchemeKind = SchemeKind.UPWIND,
              work: dict | None = None) -> ContractionResult:
+    """omega's contraction over dt, a fresh buffer unless work holds it.
+
+    Checks, in order: the scheme, dt, the extent and the grid match
+    (ValueError), then the Courant number against 1 (CourantError).
+    """
     scheme = SchemeKind.from_name(scheme)
-    grid = omega.grid
-    _require_same_grid(omega, vel)
     _require_positive("dt", dt)
-    _require_extent(min(grid.nx, grid.ny), scheme)
-    nu = max_courant(vel, dt)
-    if nu > 1.0:
-        raise CourantError(f"courant number {nu:.6g} exceeds the hard limit 1")
+    _check_transport(omega, vel, dt, scheme, 1.0)
     jobs, out, finish = _contraction(omega, vel, dt, scheme, work)
     _reconstruct(jobs, scheme, work, out)
     return ContractionResult(finish(), dt)

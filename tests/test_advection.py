@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from itertools import product
 
 import numpy as np
 import pytest
@@ -434,21 +435,40 @@ def test_zero_velocity_is_exact_invariance(scheme):
         assert np.array_equal(out.values, w.values), degree
 
 
+def _transport_entries(w, vel, config, seen):
+    """The four entries that check a run, each called on the same run."""
+    return (
+        lambda: advect(w, vel, config, observer=lambda k, s: seen.append(k)),
+        lambda: step(w, vel, config),
+        lambda: lie_increment(w, vel, config),
+        lambda: contract(w, vel, config.dt, config.scheme),
+    )
+
+
 @pytest.mark.parametrize("scheme,shape,extent", [
     (SchemeKind.WENO7, (7, 12), 7),
     (SchemeKind.WENO7, (12, 7), 7),
     (SchemeKind.WENO5, (9, 5), 5),
 ])
 def test_advect_checks_stencil_extent_first(scheme, shape, extent):
+    # every entry checks the extent before the grid match and the Courant
+    # number: with a velocity on this grid or another, at Courant number
+    # 1 (past the configured limit) and 2 (past contract's limit 1), each
+    # raises the extent error, as it does alone
     g = build_complex(*shape, 0.25)
-    vel = StaggeredVelocity(g, np.full(g.shape, 0.01), np.full(g.shape, 0.01))
+    config = AdvectionConfig(0.25, 3, scheme)
     seen = []
-    with pytest.raises(ValueError,
-                       match=rf"^grid extent {extent} too small for "
-                             rf"{scheme.value} \(needs at least "
-                             rf"{scheme.stencil_width + 1} cells\)$"):
-        advect(Cochain.zeros(g, 1), vel, AdvectionConfig(0.01, 3, scheme),
-               observer=lambda k, w: seen.append(k))
+    for vg, nu in product((g, build_complex(16, 16, 0.25)), (0.04, 1.0, 2.0)):
+        flux = np.full(vg.shape, nu / 4.0)
+        vel = StaggeredVelocity(vg, flux, flux)
+        assert max_courant(vel, config.dt) == nu
+        for entry in _transport_entries(Cochain.zeros(g, 1), vel, config,
+                                        seen):
+            with pytest.raises(ValueError,
+                               match=rf"^grid extent {extent} too small for "
+                                     rf"{scheme.value} \(needs at least "
+                                     rf"{scheme.stencil_width + 1} cells\)$"):
+                entry()
     assert seen == []
 
 
@@ -467,11 +487,24 @@ def test_advect_checks_the_run_before_state_0():
     with pytest.raises(CourantError, match=r"^step 1 \(upwind, 9x8\): "):
         advect(w, vel, AdvectionConfig(0.25, 0, courant_limit=0.9),
                observer=lambda k, state: seen.append(k))
+    # step and lie_increment raise the same text, without the prefix
+    for entry in (step, lie_increment):
+        with pytest.raises(CourantError,
+                           match=r"^courant number 1 exceeds the configured "
+                                 r"limit 0\.5$"):
+            entry(w, vel, AdvectionConfig(0.25, 3, "weno7"))
+    # a form on another grid is checked before the Courant number, at
+    # Courant number 1 and 2, by every entry
     other = build_complex(8, 9, 0.25)
-    with pytest.raises(ValueError,
-                       match="^velocity and form live on different grids$"):
-        advect(Cochain.zeros(other, 1), vel, AdvectionConfig(0.01, 3),
-               observer=lambda k, state: seen.append(k))
+    fast = StaggeredVelocity(g, np.full(g.shape, 0.5), np.zeros(g.shape))
+    for v in (vel, fast):
+        for scheme in SchemeKind:
+            for entry in _transport_entries(Cochain.zeros(other, 1), v,
+                                            AdvectionConfig(0.25, 3, scheme),
+                                            seen):
+                with pytest.raises(ValueError, match="^velocity and form "
+                                   "live on different grids$"):
+                    entry()
     assert seen == []
     # at the limit the run goes ahead
     advect(w, vel, AdvectionConfig(0.25, 1, courant_limit=1.0),

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import lieform.advection
+import lieform.contraction
 import lieform.scenarios
 from lieform.advection import AdvectionConfig, advect
 from lieform.forms import Cochain
@@ -60,3 +61,24 @@ def test_advect_calls_the_module_step_once_per_step(monkeypatch):
         calls.clear()
         advect(w, vel, AdvectionConfig(0.01, k, "weno5"))
         assert len(calls) == k
+
+
+def test_advect_calls_max_courant_once_before_state_0_and_once_per_step(
+        monkeypatch):
+    # The traced runs read velocity.max_courant.calls_per_step from both
+    # wrapped names; if the calls moved to a name that is not wrapped,
+    # that layer would read 0 and no other test would fail.
+    calls = []
+    for module in (lieform.advection, lieform.contraction):
+        def counted(*args, _real=module.max_courant, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "max_courant", counted)
+    g = build_complex(12, 10, 0.1)
+    vel = discretize_velocity(rudman_vortex(), g)
+    w = Cochain.from_components(g, np.ones(g.shape), np.zeros(g.shape))
+    for k in (0, 1, 7):
+        calls.clear()
+        advect(w, vel, AdvectionConfig(0.01, k, "weno5"))
+        assert len(calls) == k + 1
