@@ -24,8 +24,8 @@ from .scenarios import (Scenario, apply_overrides, builtin_scenario,
                         fit_convergence_slope, run_scenario, scenario_names,
                         split_fv_step)
 from .velocity import (ConstantVelocity, StaggeredVelocity,
-                       StreamFunctionVelocity, average_to_node,
-                       discretize_velocity, max_courant, rudman_vortex)
+                       StreamFunctionVelocity, discretize_velocity,
+                       max_courant, rudman_vortex)
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,6 @@ __all__ = [
     "fit_convergence_slope", "run_scenario", "scenario_names",
     "split_fv_step",
     "ConstantVelocity", "StaggeredVelocity", "StreamFunctionVelocity",
-    "average_to_node", "discretize_velocity", "max_courant", "rudman_vortex",
+    "discretize_velocity", "max_courant", "rudman_vortex",
     "__version__",
 ]

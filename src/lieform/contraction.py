@@ -17,9 +17,9 @@ nothing. contract makes the one read of one form and finishes it;
 advection.lie_increment reads both contractions of a step in one call
 and then finishes both. The scheme picks only what goes in and the
 arithmetic after the read. _contract_2form pairs (w, 0, flux_y) with
-(w, 1, flux_x), and _contract_1form pairs (wx, 1, x node flux) with
-(wy, 0, y node flux), each job with its flux's negative-sign mask,
-which the velocity computes once.
+(w, 1, flux_x), and _contract_1form pairs (wx, 1, x node sum) with
+(wy, 0, y node sum), each job with its flux's negative-sign mask,
+which the velocity computes once; every scheme reads the same masks.
 
 The piecewise-constant paths read integral values and keep every
 product and sum in the exact order of the reference loop formulation;
@@ -29,9 +29,11 @@ the freshly read values, and a sum of products times c as (sum) *= c;
 a swap of the two operands of one * or + is exact in IEEE arithmetic,
 so the bits are those of the written formulas. The WENO paths read 1-D
 averages (value / h), following the signs of the face fluxes or of the
-averaged node fluxes, then integrate: ((value * flux) * dt) / h,
-computed in place (a leading minus becomes a final *= -1.0, the same
-IEEE operation).
+node sums, then integrate: ((value * flux) * dt) / h at a face and
+((value * sum) * dt) / (2h) at a vertex, computed in place (a leading
+minus becomes a final *= -1.0, the same IEEE operation). Scaling by 2
+is exact, so the vertex form has the bits of the halved average's
+((value * (sum / 2)) * dt) / h wherever no value is subnormal.
 
 Each result is one flat buffer: a 1-form's x and y components are
 the two halves of a fresh buffer, written directly, and a 0-form's
@@ -55,7 +57,7 @@ from .reconstruct import (CourantError, SchemeKind, _reconstruct,
                           _require_extent)
 # Unused here, but perfbench wraps lieform.contraction.interface_point_values.
 from .reconstruct import interface_point_values  # noqa: F401
-from .velocity import StaggeredVelocity, average_to_node, max_courant
+from .velocity import StaggeredVelocity, max_courant
 
 
 @dataclass(frozen=True)
@@ -119,38 +121,37 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
                     scheme: SchemeKind, work: dict | None = None) -> tuple:
     """Transport of edge values onto vertices, as a 0-form.
 
-    Fluxes are averaged onto the vertex lattice (two-point transverse
-    means); the upwind edge flips with the averaged flux sign. The
-    upwind path reads that sign from the masks of the unhalved sums,
-    which the velocity computes once.
+    Fluxes are summed onto the vertex lattice (unhalved two-point
+    transverse sums); the upwind edge flips with the sign of the sum.
+    Every scheme reads the velocity's node sums and their masks, which
+    it computes once; the halving of the mean is folded into the
+    arithmetic after the read.
     """
     grid = omega.grid
     planes = omega.values.reshape(2, *grid.shape)
+    sum_x, sum_y = vel._node_sums
+    neg_x, neg_y = vel._sum_negative
     upwind = scheme is SchemeKind.UPWIND
     if upwind:
         # The two node terms, read into the "form" and "tmp" planes.
         u = planes
-        neg_x, neg_y = vel._sum_negative
         out = (scratch(work, "form", grid.shape),
                scratch(work, "tmp", grid.shape))
     else:
         # Both scaled planes, overwritten by their reconstructions.
         u = out = np.divide(planes, grid.h,
                             out=scratch(work, "tmp", (2, *grid.shape)))
-        neg_x, neg_y = vel._node_negative
 
     def finish() -> Cochain:
         if upwind:
             node, part = out
-            sum_x, sum_y = vel._node_sums
             node *= sum_x
             part *= sum_y
             node += part
             node *= dt / (2.0 * grid.h ** 2)
         else:
-            avg_x, avg_y = average_to_node(vel)
-            _integrate(u[0], avg_x, dt, grid.h)
-            _integrate(u[1], avg_y, dt, grid.h)
+            _integrate(u[0], sum_x, dt, 2.0 * grid.h)
+            _integrate(u[1], sum_y, dt, 2.0 * grid.h)
             node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
         return Cochain(grid, 0, node.ravel())
 

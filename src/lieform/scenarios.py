@@ -252,15 +252,15 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
     The (dt, steps) of every pair are resolved before the first run
     starts, so a bad time step at any resolution fails before any
     directory is made. Each pair runs one leg, or two for a reversing
-    velocity (the second in the negated field, built once the first
-    ends), under one observer: it dumps the wanted states, counted
-    across both legs, and for a 2-form advances flux differencing with
-    the leg's field and records the largest gap to the geometric state.
+    velocity (the second in the negated field, built once per
+    resolution and shared by its schemes), under one observer: it dumps
+    the wanted states, counted across both legs, and for a 2-form
+    advances flux differencing with the leg's field and records the
+    largest gap to the geometric state.
     A pair's directory is made when state 0 is dumped, which advect does
     only after its checks, so a run that fails them leaves none.
     """
     field, reverses = _VELOCITIES[scenario.velocity]
-    legs = 2 if reverses else 1
     h0 = 1.0 / scenario.resolutions[0]
     runs = []
     for n in scenario.resolutions:
@@ -275,9 +275,12 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
     for grid, vel, pairs in runs:
         n = grid.nx
         w0 = discretize(_FORMS[scenario.form], grid)
+        legs = (vel,)
+        if reverses:
+            legs += (StaggeredVelocity(grid, -vel.flux_x, -vel.flux_y),)
         lockstep = w0.degree == 2
         for scheme, dt, steps in pairs:
-            total = legs * steps
+            total = len(legs) * steps
             wanted = _dump_steps(total, scenario.dumps)
             cfg = AdvectionConfig(dt=dt, steps=steps, scheme=scheme)
             rundir = out / f"{n}_{scheme.value}"
@@ -296,10 +299,9 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
                     write_pgm(rundir / f"field_{at:06d}.pgm", render_field(w))
 
             started = time.perf_counter()
-            final, leg_vel = w0, vel
-            for offset in range(0, total, steps):
-                if offset:
-                    leg_vel = StaggeredVelocity(vel.grid, -vel.flux_x, -vel.flux_y)
+            final = w0
+            for leg, leg_vel in enumerate(legs):
+                offset = leg * steps
                 final = advect(final, leg_vel, cfg, observer=observe)
             runtime_ms = (time.perf_counter() - started) * 1e3
             if lockstep:

@@ -10,17 +10,16 @@ fluxes telescopes to zero (up to roundoff of the psi values themselves).
 
 A StaggeredVelocity is immutable: it holds read-only copies of its flux
 arrays, so everything derived from them (the peak flux behind the
-Courant number, the node-averaged fluxes and their unhalved sums, and
-the masks of negative signs) is computed once per velocity, on first
-use, and reused by every later step. The masks are bool planes, or
-None for a direction with no negative sign: the face masks pick both
-the WENO windows and the upwind reads of a cell plane, the masks of
-the averaged node fluxes pick the WENO windows of an edge plane, and
-those of the unhalved node sums its upwind reads. Every one of them
-follows reconstruct._negative, so -0.0 counts as positive everywhere.
-The flux copies, the node sums and the node fluxes are written straight
-into buffers that start on a 64-byte line, as every float buffer of a
-step does (forms._empty).
+Courant number, the unhalved two-point sums of the fluxes onto the
+vertex lattice, and the masks of negative signs) is computed once per
+velocity, on first use, and reused by every later step. There is one
+flux and one mask set per location: the faces read the fluxes and
+their masks, the vertices the node sums and theirs, whatever the
+scheme. The masks are bool planes, or None for a direction with no
+negative sign, and follow reconstruct._negative, so -0.0 counts as
+positive everywhere. The flux copies and the node sums are written
+straight into buffers that start on a 64-byte line, as every float
+buffer of a step does (forms._empty).
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ class StaggeredVelocity:
                 _read_only(np.add(fy, shifted(fy, di=-1), out=_empty(fy.shape))))
 
     @cached_property
-    def _node_fluxes(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_read_only(np.divide(s, 2.0, out=_empty(s.shape)))
-                     for s in self._node_sums)
-
-    @cached_property
     def _face_negative(self) -> tuple:
         """Negative-flux masks of the x and y faces.
 
@@ -86,16 +80,12 @@ class StaggeredVelocity:
         return _negative(self.flux_x), _negative(self.flux_y)
 
     @cached_property
-    def _node_negative(self) -> tuple:
-        """Negative masks of the averaged node fluxes, for WENO windows."""
-        return tuple(_negative(f) for f in self._node_fluxes)
-
-    @cached_property
     def _sum_negative(self) -> tuple:
-        """Negative masks of the node sums, for upwind reads.
+        """Negative masks of the node sums.
 
-        The sums are unhalved: halving a tiny negative sum can round to
-        -0.0, which _negative counts as positive.
+        They pick both the WENO windows and the upwind reads of an edge
+        plane. The sums are unhalved: halving a tiny negative sum can
+        round to -0.0, which _negative counts as positive.
         """
         return tuple(_negative(s) for s in self._node_sums)
 
@@ -150,14 +140,6 @@ def discretize_velocity(
     # Horizontal edge from node (i, j) to (i+1, j): flux = psi(head) - psi(tail).
     flux_y = shifted(p, di=1) - p
     return StaggeredVelocity(grid, flux_x, flux_y)
-
-
-def average_to_node(vel: StaggeredVelocity) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point averages of each flux component onto the vertex lattice.
-
-    Computed once per velocity; the returned arrays are read-only.
-    """
-    return vel._node_fluxes
 
 
 def max_courant(vel: StaggeredVelocity, dt: float) -> float:

@@ -315,11 +315,10 @@ def test_operators_return_fresh_values(degree, scheme, flux):
     omega.values.flags.writeable = False
     before = omega.values.tobytes()
     config = AdvectionConfig(0.05, 1, scheme)
-    masks = [neg for neg in (*vel._face_negative, *vel._sum_negative,
-                             *vel._node_negative) if neg is not None]
-    assert len(masks) == (0 if flux == "positive" else 6)
-    held = [omega.values, vel.flux_x, vel.flux_y, *vel._node_sums,
-            *vel._node_fluxes, *masks]
+    masks = [neg for neg in (*vel._face_negative, *vel._sum_negative)
+             if neg is not None]
+    assert len(masks) == (0 if flux == "positive" else 4)
+    held = [omega.values, vel.flux_x, vel.flux_y, *vel._node_sums, *masks]
     outs = []
     for _ in range(2):
         outs += [exterior_derivative(omega).values,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from lieform import contraction
 from lieform.contraction import ContractionResult, contract
 from lieform.forms import Cochain
 from lieform.grid import build_complex
@@ -211,34 +212,60 @@ def test_contract_2form_weno_composes_scalar_kernel(scheme, flux):
 
 @pytest.mark.parametrize("scheme,flux",
                          _with_fluxes([SchemeKind.WENO5, SchemeKind.WENO7]))
-def test_contract_1form_weno_composes_scalar_kernel(scheme, flux):
+def test_contract_1form_weno_composes_scalar_kernel(scheme, flux, monkeypatch):
+    # Every scheme reads the unhalved node sums and their masks: the
+    # mixed case adds sign-edge draws, where a halved sum would round a
+    # tiny negative to -0.0 and flip its window.
     rng = np.random.default_rng(109)
     g, vel = _flux_setup(rng, 8, 9, flux)
-    wx = rng.standard_normal(g.shape)
-    wy = rng.standard_normal(g.shape)
+    vels = [vel]
+    if flux == "mixed":
+        vels += [_sign_edge_setup(rng, 8, 9)[1] for _ in range(10)]
+    read = contraction._reconstruct
+    masks = []
+
+    def recording(jobs, *args):
+        masks.append(tuple(neg for _, _, neg in jobs))
+        return read(jobs, *args)
+
+    monkeypatch.setattr(contraction, "_reconstruct", recording)
     dt = 0.3 * H
-    got = contract(Cochain.from_components(g, wx, wy), vel, dt, scheme).cochain
-    sum_x = vel.flux_x + np.roll(vel.flux_x, 1, axis=0)
-    sum_y = vel.flux_y + np.roll(vel.flux_y, 1, axis=1)
-    avg_x, avg_y = sum_x / 2.0, sum_y / 2.0
-    ux, uy = wx / H, wy / H
     width = scheme.stencil_width
     ny, nx = g.shape
-    for j in range(ny):
-        for i in range(nx):
-            px = avg_x[j, i] >= 0.0
-            cells = reference.window_cells(i, nx, width, px)
-            rx = reconstruct_at_interface(
-                Stencil1D(tuple(float(ux[j, c]) for c in cells),
-                          1 if px else -1), scheme)
-            py = avg_y[j, i] >= 0.0
-            cells = reference.window_cells(j, ny, width, py)
-            ry = reconstruct_at_interface(
-                Stencil1D(tuple(float(uy[c, i]) for c in cells),
-                          1 if py else -1), scheme)
-            want = (((rx * avg_x[j, i]) * dt) / H
-                    + ((ry * avg_y[j, i]) * dt) / H)
-            assert got.plane()[j, i] == want
+    seen = set()
+    for vel in vels:
+        wx = rng.standard_normal(g.shape)
+        wy = rng.standard_normal(g.shape)
+        form = Cochain.from_components(g, wx, wy)
+        masks.clear()
+        got = contract(form, vel, dt, scheme).cochain
+        contract(form, vel, dt, SchemeKind.UPWIND)
+        assert len(masks) == 2
+        for pair in masks:
+            assert all(a is b for a, b in zip(pair, vel._sum_negative))
+        sum_x = vel.flux_x + np.roll(vel.flux_x, 1, axis=0)
+        sum_y = vel.flux_y + np.roll(vel.flux_y, 1, axis=1)
+        for s in (sum_x, sum_y):
+            seen.update(kind for kind, hit in _zero_kinds(s).items() if hit)
+        ux, uy = wx / H, wy / H
+        want = np.empty(g.shape)
+        for j in range(ny):
+            for i in range(nx):
+                px = sum_x[j, i] >= 0.0
+                cells = reference.window_cells(i, nx, width, px)
+                rx = reconstruct_at_interface(
+                    Stencil1D(tuple(float(ux[j, c]) for c in cells),
+                              1 if px else -1), scheme)
+                py = sum_y[j, i] >= 0.0
+                cells = reference.window_cells(j, ny, width, py)
+                ry = reconstruct_at_interface(
+                    Stencil1D(tuple(float(uy[c, i]) for c in cells),
+                              1 if py else -1), scheme)
+                want[j, i] = (((rx * sum_x[j, i]) * dt) / (2 * H)
+                              + ((ry * sum_y[j, i]) * dt) / (2 * H))
+        assert _same_bits(got.plane(), want)
+    if flux == "mixed":
+        assert seen == {"+0", "-0", "halves to -0"}
 
 
 def test_contract_degree_ladder_ends():

@@ -60,6 +60,9 @@ def test_plane_and_component_views():
         Cochain.from_plane(g, 1, plane)
     with pytest.raises(ValueError):
         Cochain.from_plane(g, 2, plane.T)
+    for bad_x, bad_y in ((wx.T, wy), (wx, wy.T), (wx, wy[:3])):
+        with pytest.raises(ValueError, match="component planes must match"):
+            Cochain.from_components(g, bad_x, bad_y)
 
 
 def test_copy_is_detached():

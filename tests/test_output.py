@@ -148,6 +148,26 @@ def test_render_1form_frozen():
     assert set(np.unique(img.pixels)) == {0, 255}
 
 
+def test_render_0form_matches_loop():
+    # Each cell averages |value| over its four corners, in the order
+    # (i, j), (i+1, j), (i, j+1), (i+1, j+1), wrapping at the edges.
+    g = build_complex(6, 4, 0.25)
+    v = np.random.default_rng(17).standard_normal(g.shape)
+    img = render_field(Cochain.from_plane(g, 0, v))
+    ny, nx = g.shape
+    a = np.abs(v).tolist()
+    mag = [[(a[j][i] + a[j][(i + 1) % nx] + a[(j + 1) % ny][i]
+             + a[(j + 1) % ny][(i + 1) % nx]) / 4.0 for i in range(nx)]
+           for j in range(ny)]
+    vmin = min(min(row) for row in mag)
+    vmax = max(max(row) for row in mag)
+    assert (img.vmin, img.vmax) == (vmin, vmax)
+    want = [[round((m - vmin) / (vmax - vmin) * 255.0) for m in row]
+            for row in mag]
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.tolist() == want
+
+
 def test_render_degenerate_and_errors():
     g = build_complex(6, 4, 0.25)
     img = render_field(Cochain.from_plane(g, 2, np.full(g.shape, 3.5)))

@@ -213,6 +213,48 @@ def test_run_scenario_reverse_dump_schedule(tmp_path):
         assert len(list(rundir.glob("field_??????.pgm.txt"))) == 7
 
 
+def test_reverse_leg_velocity_is_built_once_per_resolution(tmp_path,
+                                                          monkeypatch):
+    # Both schemes at a resolution advect in the same two leg velocities,
+    # the second the first negated.
+    honest = lieform.scenarios.advect
+    legs = []
+
+    def recording(omega, vel, *args, **kwargs):
+        legs.append(vel)
+        return honest(omega, vel, *args, **kwargs)
+
+    monkeypatch.setattr(lieform.scenarios, "advect", recording)
+    sc = apply_overrides(builtin_scenario("rudman-vortex"),
+                         resolutions=(8, 9), steps=2)
+    run_scenario(sc, tmp_path)
+    assert len(legs) == 8
+    for n, runs in ((8, legs[:4]), (9, legs[4:])):
+        forward, back = runs[:2]
+        assert runs[2] is forward and runs[3] is back
+        assert forward is not back
+        assert forward.grid.nx == back.grid.nx == n
+        assert np.array_equal(back.flux_x, -forward.flux_x)
+        assert np.array_equal(back.flux_y, -forward.flux_y)
+
+
+def test_steps_without_base_dt_span_the_duration():
+    # With steps given and no base_dt, dt is the duration over the steps
+    # at every resolution and for every scheme; the flux plays no part.
+    sc = Scenario(name="x", form="rect1", velocity="rudman",
+                  resolutions=(8, 16), duration=0.7, steps=3)
+    for n in sc.resolutions:
+        g = build_complex(n, n, 1.0 / n)
+        vel = StaggeredVelocity(g, np.full(g.shape, 0.5 / n),
+                                np.zeros(g.shape))
+        for scheme in sc.schemes:
+            dt, steps = lieform.scenarios._resolve_steps(
+                sc, scheme, vel, g.h, 1.0 / sc.resolutions[0])
+            assert steps == 3
+            assert dt == 0.7 / 3
+            assert dt * steps == sc.duration
+
+
 def test_equivalence_scenario_reports_zero_gap(tmp_path):
     sc = apply_overrides(builtin_scenario("volume-2form-equivalence"),
                          resolutions=(8,), steps=5)

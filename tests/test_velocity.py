@@ -11,8 +11,8 @@ from lieform.forms import Cochain
 from lieform.grid import build_complex
 from lieform.reconstruct import SchemeKind
 from lieform.velocity import (ConstantVelocity, StaggeredVelocity,
-                              StreamFunctionVelocity, average_to_node,
-                              discretize_velocity, max_courant, rudman_vortex)
+                              StreamFunctionVelocity, discretize_velocity,
+                              max_courant, rudman_vortex)
 
 
 def test_constant_velocity_fluxes():
@@ -69,14 +69,14 @@ def test_rudman_vortex_speed():
     assert 0.95 < max_courant(vel, g.h) <= 1.0
 
 
-def test_average_to_node_frozen():
+def test_node_sums_frozen():
     g = build_complex(6, 5, 0.2)
     fx = np.zeros(g.shape)
     fx[2, 4] = 2.0
-    ax, ay = average_to_node(StaggeredVelocity(g, fx, np.zeros(g.shape)))
-    assert ax[2, 4] == 1.0 and ax[3, 4] == 1.0
-    assert np.count_nonzero(ax) == 2
-    assert np.all(ay == 0.0)
+    sx, sy = StaggeredVelocity(g, fx, np.zeros(g.shape))._node_sums
+    assert sx[2, 4] == 2.0 and sx[3, 4] == 2.0
+    assert np.count_nonzero(sx) == 2
+    assert np.all(sy == 0.0)
 
 
 def test_max_courant_frozen():
@@ -97,9 +97,9 @@ def test_fluxes_are_read_only_copies():
         vel.flux_y[...] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         vel.flux_x = np.zeros(g.shape)
-    ax, ay = average_to_node(vel)
-    assert not ax.flags.writeable and not ay.flags.writeable
-    assert average_to_node(vel)[0] is ax
+    sx, sy = vel._node_sums
+    assert not sx.flags.writeable and not sy.flags.writeable
+    assert vel._node_sums[0] is sx
     # the caller keeps a writable array of its own
     fx[0, 0] = 1.0
     assert vel.flux_x[0, 0] == -0.1
