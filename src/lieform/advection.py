@@ -109,10 +109,10 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
     # read d omega, come first, and upwind jobs run in order. The
     # 1-form's arithmetic runs first, as it frees the "tmp" plane that
     # the 2-form's upwind arithmetic writes.
-    jobs_a, out_a, finish_a = _contraction(
+    jobs_a, finish_a = _contraction(
         exterior_derivative(omega, work), vel, dt, scheme, work)
-    jobs_b, out_b, finish_b = _contraction(omega, vel, dt, scheme, work)
-    _reconstruct(jobs_a + jobs_b, scheme, work, [*out_a, *out_b])
+    jobs_b, finish_b = _contraction(omega, vel, dt, scheme, work)
+    _reconstruct(jobs_a + jobs_b, scheme, work)
     b = exterior_derivative(finish_b(), work)
     a = finish_a()
     # The sum goes into the fresh piece; addition commutes, so the bits

@@ -9,9 +9,10 @@ degrees uniformly.
 contract is the one public entry, and it makes the checks; the bodies
 below it, _contract_2form and _contract_1form, check nothing. Each body
 is split at its reads: it
-returns its two reconstruct._reconstruct jobs, the planes their results
-go into, and a finish() that runs the arithmetic after the read and
-returns the contraction (reconstruct.py says how an interface is read);
+returns its two reconstruct._reconstruct jobs, each a record that names
+the plane it reads and the plane its result goes into, and a finish()
+that runs the arithmetic after the read and returns the contraction
+(reconstruct.py says how an interface is read);
 _contraction picks the body by degree, and the empty degrees read
 nothing. contract makes the one read of one form and finishes it;
 advection.lie_increment reads both contractions of a step in one call
@@ -19,7 +20,8 @@ and then finishes both. The scheme picks only what goes in and the
 arithmetic after the read. _contract_2form pairs (w, 0, flux_y) with
 (w, 1, flux_x), and _contract_1form pairs (wx, 1, x node sum) with
 (wy, 0, y node sum), each job with its flux's negative-sign mask,
-which the velocity computes once; every scheme reads the same masks.
+which the velocity computes once, and its output plane; every scheme
+reads the same masks.
 
 The piecewise-constant paths read integral values and keep every
 product and sum in the exact order of the reference loop formulation;
@@ -114,7 +116,7 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
             _integrate(ey, vel.flux_x, dt, grid.h)
         return Cochain(grid, 1, planes.ravel())
 
-    return [(u, 0, neg_y), (u, 1, neg_x)], planes, finish
+    return [(u, 0, neg_y, planes[0]), (u, 1, neg_x, planes[1])], finish
 
 
 def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
@@ -155,16 +157,16 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
             node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
         return Cochain(grid, 0, node.ravel())
 
-    return [(u[0], 1, neg_x), (u[1], 0, neg_y)], out, finish
+    return [(u[0], 1, neg_x, out[0]), (u[1], 0, neg_y, out[1])], finish
 
 
 def _contraction(omega: Cochain, vel: StaggeredVelocity, dt: float,
                  scheme: SchemeKind, work: dict | None = None) -> tuple:
-    """omega's contraction split at its reads: (jobs, out, finish).
+    """omega's contraction split at its reads: (jobs, finish).
 
-    jobs and out are one _reconstruct call's jobs and output planes;
-    finish() runs the arithmetic on the results and returns the
-    contraction. The empty degrees read nothing.
+    jobs are one _reconstruct call's job records, each naming its
+    output plane; finish() runs the arithmetic on the results and
+    returns the contraction. The empty degrees read nothing.
     """
     if omega.degree == 2:
         return _contract_2form(omega, vel, dt, scheme, work)
@@ -173,9 +175,9 @@ def _contraction(omega: Cochain, vel: StaggeredVelocity, dt: float,
     grid = omega.grid
     if omega.degree == 0:
         # degree drops below 0
-        return [], (), lambda: Cochain.empty(grid, -1)
+        return [], lambda: Cochain.empty(grid, -1)
     if omega.degree == 3:
-        return [], (), lambda: Cochain.zeros(grid, 2)
+        return [], lambda: Cochain.zeros(grid, 2)
     raise ValueError(f"cannot contract degree {omega.degree}")
 
 
@@ -190,6 +192,6 @@ def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
     scheme = SchemeKind.from_name(scheme)
     _require_positive("dt", dt)
     _check_transport(omega, vel, dt, scheme, 1.0)
-    jobs, out, finish = _contraction(omega, vel, dt, scheme, work)
-    _reconstruct(jobs, scheme, work, out)
+    jobs, finish = _contraction(omega, vel, dt, scheme, work)
+    _reconstruct(jobs, scheme, work)
     return ContractionResult(finish(), dt)

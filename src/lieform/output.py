@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .forms import Cochain
-from .grid import build_complex, shifted
+from .grid import _is_count, build_complex, shifted
 from .reconstruct import SchemeKind
 
 CSV_HEADER = "resolution,scheme,l1,l2,runtime_ms"
@@ -42,11 +42,17 @@ class ErrorRecord:
     runtime_ms: float
 
     def __post_init__(self) -> None:
-        for name in ("l1", "l2"):
-            value = getattr(self, name)
+        # 4 is the smallest grid extent (grid.GridComplex2D).
+        if not _is_count(self.resolution, 4):
+            raise ValueError(
+                f"resolution must be an integer of at least 4, got "
+                f"{self.resolution!r}")
+        for attr, name in (("l1", "l1 norm"), ("l2", "l2 norm"),
+                           ("runtime_ms", "runtime_ms")):
+            value = getattr(self, attr)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(
-                    f"{name} norm must be finite and non-negative, got "
+                    f"{name} must be finite and non-negative, got "
                     f"{value!r} (resolution {self.resolution}, scheme "
                     f"{self.scheme.value})")
 
@@ -96,15 +102,18 @@ def write_field(path, omega: Cochain) -> None:
 
 
 def _bad_row(f, start):
-    """The error of the first value line from start that does not parse,
-    naming its line in the file; None when every line parses."""
+    """The error of the first value line from start that does not parse
+    or is not finite, naming its line in the file; None when every line
+    parses to a finite value."""
     f.seek(start)
     for number, line in enumerate(f, start=5):
         if not line.isspace():
             try:
-                float(line.rstrip("\n"))
+                value = float(line.rstrip("\n"))
             except ValueError as err:
                 return ValueError(f"{err} (line {number})")
+            if not math.isfinite(value):
+                return ValueError(f"non-finite value {value!r} (line {number})")
     return None
 
 
@@ -123,13 +132,15 @@ def read_field(path) -> Cochain:
             grid = build_complex(int(header["nx"]), int(header["ny"]),
                                  float(header["h"]))
             # Blank lines are skipped; the parse runs in C iterators, and
-            # only a row that does not parse reads the file again to
-            # name its line.
+            # only a row that does not parse, or a value that is not
+            # finite, reads the file again to name its line.
             try:
                 values = np.fromiter(map(float, filterfalse(str.isspace, f)),
                                      dtype=np.float64)
             except ValueError as err:
                 raise (_bad_row(f, start) or err) from None
+            if not np.isfinite(values).all():
+                raise _bad_row(f, start)
             return Cochain(grid, degree, values)
         except KeyError as missing:
             raise ValueError(f"{path}: header line {missing} missing") from None
@@ -194,7 +205,11 @@ def write_pgm(path, image: RasterImage) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Pixel plane of a binary PGM, flipped back to grid row order."""
+    """Pixel plane of a binary PGM, flipped back to grid row order.
+
+    The raster must hold exactly nx * ny bytes, nx and ny at least 1;
+    every error names the file.
+    """
     raw = Path(path).read_bytes()
     parts = raw.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
@@ -203,7 +218,12 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: unexpected maxval {parts[2]!r}")
     try:
         nx, ny = (int(t) for t in parts[1].split())
-        pixels = np.frombuffer(parts[3][:nx * ny], dtype=np.uint8).reshape(ny, nx)
+        if min(nx, ny) < 1:
+            raise ValueError(f"raster size must be at least 1x1, got {nx}x{ny}")
+        if len(parts[3]) > nx * ny:
+            raise ValueError(
+                f"{len(parts[3]) - nx * ny} bytes after the {nx}x{ny} raster")
+        pixels = np.frombuffer(parts[3], dtype=np.uint8).reshape(ny, nx)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return np.flipud(pixels).copy()

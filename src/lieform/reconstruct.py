@@ -46,8 +46,9 @@ wrapped copy or of the caller's plane, or window buffers, and are never
 written: every chain starts in a slot of its own.
 
 Workspace contract (see advection.py for who owns the workspace).
-_reconstruct takes any number of jobs of one plane shape and a
-workspace, a dict that forms.scratch hands buffers out of, one per
+_reconstruct takes any number of jobs of one plane shape, each a record
+(plane, axis, mask, out) that names the plane its result goes into, and
+a workspace, a dict that forms.scratch hands buffers out of, one per
 (role, shape). A step makes one such call, with the jobs of both its
 contractions. A WENO pass uses three roles:
   - "weno": the kernel temporaries of one pass, one block of slots of
@@ -59,8 +60,9 @@ An upwind read takes nothing from the workspace. WENO jobs with a
 negative sign share capped passes: in order, as many as fit in
 _PASS_INTERFACES interfaces go into one pass, so a 48x48 step's four
 mixed jobs run in one pass and from 96x96 up each job runs alone. Each
-one-signed job runs a pass of its own on views of its wrapped copy. The
-results always go into the caller's out, so no result lives in the
+one-signed job runs a pass of its own on views of its wrapped copy.
+Every WENO pass has one way out: its result, in its first kernel slot,
+is copied once into each job's out. So no result lives in the
 workspace, and the workspace holds nothing between calls that a later
 call relies on. One workspace must not be used by two calls at once:
 one advect call owns its workspace, and no workspace is module-level or
@@ -291,11 +293,12 @@ def _weno7_parts(v0, v1, v2, v3, v4, v5, v6, slots=_FRESH):
 _WENO = {"weno5": (_weno5_parts, _D5, 7), "weno7": (_weno7_parts, _D7, 9)}
 
 
-def _left_biased(scheme: SchemeKind, window, slots=_FRESH, out=None):
+def _left_biased(scheme: SchemeKind, window, slots=_FRESH):
     """WENO interface value from an upwind-ordered window.
 
-    The temporaries go into slots, and the result into out, or else
-    into the first term's slot; a slot of None makes a new value.
+    The temporaries go into slots, a slot of None making a new value,
+    and the result is the first term's slot, slots[0]: the one place a
+    pass's result lives until its caller copies it out.
     """
     parts, dopt, _ = _WENO[scheme._value_]
     betas, cands = parts(*window, slots)
@@ -315,9 +318,9 @@ def _left_biased(scheme: SchemeKind, window, slots=_FRESH, out=None):
         a /= total
         a *= p
         terms.append(a)
-    # The sum goes into out, or else into the first term.
-    acc = add(terms[0], terms[1], terms[0] if out is None else out)
-    for t in terms[2:]:
+    # The sum goes into the first term.
+    acc = terms[0]
+    for t in terms[1:]:
         acc += t
     return acc
 
@@ -407,7 +410,7 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     if not np.isfinite(signs).all():
         raise ValueError("signs must be finite")
     out = _empty(u.shape)
-    _reconstruct([(u, axis, _negative(signs))], scheme, None, out[None])
+    _reconstruct([(u, axis, _negative(signs), out)], scheme, None)
     return out
 
 
@@ -424,92 +427,84 @@ def _negative(signs: np.ndarray) -> np.ndarray | None:
     return neg
 
 
-def _reconstruct(jobs, scheme: SchemeKind, work: dict | None,
-                 out) -> None:
-    """Interface values of any number of jobs of one plane shape, into out.
+def _reconstruct(jobs, scheme: SchemeKind, work: dict | None) -> None:
+    """Interface values of any number of jobs of one plane shape.
 
-    A job is (u, axis, neg): the plane of cell averages (or of integral
-    values: an upwind read only copies), the axis of its interfaces, and
-    its _negative mask of the flow signs. Job j's result goes into
-    out[j]. Nothing is checked: each job's extent along its axis must
-    exceed the stencil width, as the public entries make sure.
+    A job is one record, (u, axis, neg, out): the plane of cell averages
+    (or of integral values: an upwind read only copies), the axis of its
+    interfaces, its _negative mask of the flow signs, and the (ny, nx)
+    plane its result goes into. Nothing is checked: each job's extent
+    along its axis must exceed the stencil width, as the public entries
+    make sure.
 
-    Upwind: out[j] is the entry one step back along axis, a periodic
-    shift that joins the plane's blocks [k:] and [:k], k = extent - 1,
-    by grid._roll_into; where the mask is set, np.copyto then copies
-    the plane itself over it. No workspace buffer is used. out[j] must
-    not overlap job j's plane: np.concatenate would read blocks it has
+    Upwind: out is the entry one step back along axis, a periodic shift
+    that joins the plane's blocks [k:] and [:k], k = extent - 1, by
+    grid._roll_into; where the mask is set, np.copyto then copies the
+    plane itself over it. No workspace buffer is used. out must not
+    overlap its job's plane: np.concatenate would read blocks it has
     already overwritten.
 
     WENO: each interface is reconstructed once from shifts 0..width of
     its plane (see _shifts): the positive window is shifts 0..width-1
-    and the negative window is shifts width..1. The jobs with a mask,
-    taken in order, share kernel passes of at most _PASS_INTERFACES
-    interfaces (see _mixed_pass). A job without a mask runs a pass of
-    its own on the shifts themselves, which are views and cost no copy;
-    along axis 1 it runs on the transpose of its plane, so each shift is
-    a contiguous block of rows, and the elementwise kernel gives the
-    same bits in either layout. With a workspace the wrapped copies,
-    windows and kernel temporaries are its buffers (forms.scratch roles
-    "pad", "window" and "weno", each keyed by shape), fetched once per
-    pass; with work None they are fresh arrays.
+    and the negative window is shifts width..1. Every pass computes in
+    its own kernel slots and copies its result into each job's out once.
+    A job without a mask runs a pass of its own on the shifts
+    themselves, which are views and cost no copy; along axis 1 it runs
+    on u.T and out.T, so each shift is a contiguous block of rows, and
+    the elementwise kernel gives the same bits in either layout. The
+    jobs with a mask are collected and, in order, run in passes of as
+    many as fit in _PASS_INTERFACES interfaces (see _mixed_pass), after
+    the one-signed jobs. With a workspace the wrapped copies, windows
+    and kernel temporaries are its buffers (forms.scratch roles "pad",
+    "window" and "weno", each keyed by shape), fetched once per pass;
+    with work None they are fresh arrays.
 
-    out is any sequence of (ny, nx) planes, one per job, none of them a
-    "pad", "window" or "weno" buffer. A WENO out[j] may be job j's own
-    plane if no other job reads it: each plane is read before its
-    result is written. Upwind jobs run in order, so an upwind out[j]
-    may be the plane of an earlier job.
+    No out may be a "pad", "window" or "weno" buffer. A WENO out may be
+    its job's own plane if no other job reads it: each plane is read
+    before its result is written. Upwind jobs run in order, so an
+    upwind out may be the plane of an earlier job.
     """
     width = scheme.stencil_width
     mixed = []
-    for j, (u, axis, neg) in enumerate(jobs):
+    for u, axis, neg, out in jobs:
         if width == 1:
             # Upwind: the window is the upwind entry alone.
-            read = _roll_into(u, u.shape[axis] - 1, axis, out[j])
+            read = _roll_into(u, u.shape[axis] - 1, axis, out)
             if neg is not None:
                 np.copyto(read, u, where=neg)
         elif neg is not None:
-            if mixed and (len(mixed) + 1) * u.size > _PASS_INTERFACES:
-                _mixed_pass(mixed, scheme, work, out)
-                mixed = []
-            mixed.append((j, u, axis, neg))
-        elif axis == 0:
-            _left_biased(scheme, _shifts(u, 0, width, work)[:width],
-                         _slots(work, scheme, u.shape), out[j])
+            mixed.append((u, axis, neg, out))
         else:
-            # One transposing copy: a kernel writing into out[j].T would
-            # make each of its last ufuncs a strided write.
-            np.copyto(out[j], _left_biased(
-                scheme, _shifts(u.T, 0, width, work)[:width],
-                _slots(work, scheme, u.T.shape)).T)
+            if axis == 1:
+                u, out = u.T, out.T
+            np.copyto(out, _left_biased(
+                scheme, _shifts(u, 0, width, work)[:width],
+                _slots(work, scheme, u.shape)))
     if mixed:
-        _mixed_pass(mixed, scheme, work, out)
+        per_pass = max(1, _PASS_INTERFACES // mixed[0][0].size)
+        for k in range(0, len(mixed), per_pass):
+            _mixed_pass(mixed[k:k + per_pass], scheme, work)
 
 
-def _mixed_pass(mixed, scheme: SchemeKind, work: dict | None, out) -> None:
-    """One kernel pass over the mixed-sign jobs [(j, u, axis, neg), ...].
+def _mixed_pass(mixed, scheme: SchemeKind, work: dict | None) -> None:
+    """One kernel pass over the mixed-sign jobs [(u, axis, neg, out), ...].
 
     Window m of the k-th job is plane k of a (width, jobs, ny, nx)
     buffer, filled with shift m and then, where the mask is set, with
-    shift width - m, so every ufunc of the pass covers all its jobs. A
-    one-job pass writes its result straight into out[j]; a longer one
-    sums into its first kernel slot and copies each plane to its out[j],
-    since the jobs' outputs need not be one array.
+    shift width - m, so every ufunc of the pass covers all its jobs. The
+    result, in the first kernel slot, is copied plane by plane into each
+    job's out, since the jobs' outputs need not be one array.
     """
     width = scheme.stencil_width
-    shape = (len(mixed),) + mixed[0][1].shape
+    shape = (len(mixed),) + mixed[0][0].shape
     windows = scratch(work, "window", (width,) + shape)
-    for k, (j, u, axis, neg) in enumerate(mixed):
+    for k, (u, axis, neg, _) in enumerate(mixed):
         shifts = _shifts(u, axis, width, work)
         np.copyto(windows[:, k], shifts[:width])
         np.copyto(windows[:, k], shifts[width:0:-1], where=neg)
-    slots = _slots(work, scheme, shape)
-    if len(mixed) == 1:
-        _left_biased(scheme, windows, slots, out[mixed[0][0]][None])
-        return
-    result = _left_biased(scheme, windows, slots)
-    for k, (j, *_) in enumerate(mixed):
-        np.copyto(out[j], result[k])
+    result = _left_biased(scheme, windows, _slots(work, scheme, shape))
+    for k, (*_, out) in enumerate(mixed):
+        np.copyto(out, result[k])
 
 
 def _shifts(u: np.ndarray, axis: int, width: int,

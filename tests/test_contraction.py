@@ -225,7 +225,7 @@ def test_contract_1form_weno_composes_scalar_kernel(scheme, flux, monkeypatch):
     masks = []
 
     def recording(jobs, *args):
-        masks.append(tuple(neg for _, _, neg in jobs))
+        masks.append(tuple(neg for _, _, neg, _ in jobs))
         return read(jobs, *args)
 
     monkeypatch.setattr(contraction, "_reconstruct", recording)

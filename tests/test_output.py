@@ -23,6 +23,15 @@ def test_error_record_guard():
             ErrorRecord(32, SchemeKind.WENO7, bad, 0.1, 1.0)
         with pytest.raises(ValueError, match="l2 norm"):
             ErrorRecord(32, SchemeKind.WENO7, 0.1, bad, 1.0)
+        with pytest.raises(ValueError, match=r"runtime_ms .* \(resolution 32"):
+            ErrorRecord(32, SchemeKind.WENO7, 0.1, 0.1, bad)
+    with pytest.raises(ValueError, match="runtime_ms"):
+        ErrorRecord(32, SchemeKind.WENO7, 0.1, 0.1, -1.0)
+    # the resolution is a count of at least 4, the smallest grid
+    for bad in (-8, 0, 3, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="resolution must be"):
+            ErrorRecord(bad, SchemeKind.UPWIND, 0.1, 0.1, 1.0)
+    assert ErrorRecord(np.int64(4), SchemeKind.UPWIND, 0.0, 0.0, 0.0)
 
 
 def test_error_table_round_trip(tmp_path):
@@ -57,6 +66,12 @@ def test_error_table_rejects_bad_shapes(tmp_path):
     path.write_text(CSV_HEADER + "\n16,upwind,1,x,1\n")
     with pytest.raises(ValueError, match=r"errors\.csv: row .*could not convert"):
         read_error_table(path)
+    # a negative resolution would send the convergence fit into the log
+    # of a negative h; a nan runtime is no measurement
+    for row in ("-8,upwind,0.4,0.4,1", "8,upwind,0.1,0.2,nan"):
+        path.write_text(CSV_HEADER + f"\n{row}\n")
+        with pytest.raises(ValueError, match=rf"errors\.csv: row '{row}'"):
+            read_error_table(path)
 
 
 # (nx, ny, degree) per case: degrees 0-3 below one chunk, then one
@@ -134,6 +149,22 @@ def test_field_dump_errors_name_the_file(tmp_path):
         read_field(path)
     path.write_text("degree 2\nnx 2\nny 8\nh 0.125\n")
     with pytest.raises(ValueError, match=r"field_000007\.txt: grid must be"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_read_field_rejects_non_finite_values(tmp_path, bad):
+    # A dump of a non-finite field would render as vmin = vmax = nan;
+    # the reader names the file and the line of the first such value.
+    g = build_complex(4, 4, 0.25)
+    path = tmp_path / "field_000002.txt"
+    write_field(path, Cochain.from_plane(g, 2, np.ones(g.shape)))
+    lines = path.read_text().splitlines()
+    lines[9] = bad
+    lines[12] = "nan"
+    path.write_text("\n".join(lines[:8] + [""] + lines[8:]) + "\n")
+    with pytest.raises(ValueError, match=r"field_000002\.txt: non-finite "
+                                         r"value .* \(line 11\)$"):
         read_field(path)
 
 
@@ -226,3 +257,13 @@ def test_read_pgm_rejects_other_formats(tmp_path):
     path.write_bytes(b"P5\n8 x\n255\n" + bytes(64))
     with pytest.raises(ValueError, match=r"bad\.pgm: invalid literal"):
         read_pgm(path)
+    # bytes after the raster, and sizes below 1, name the file too
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes(5))
+    with pytest.raises(ValueError, match=r"bad\.pgm: 1 bytes after the 2x2 "
+                                         r"raster"):
+        read_pgm(path)
+    for size in (b"0 4", b"4 0", b"-1 4", b"-2 -2"):
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(8))
+        with pytest.raises(ValueError, match=r"bad\.pgm: raster size must "
+                                             r"be at least 1x1"):
+            read_pgm(path)

@@ -376,9 +376,10 @@ def _assert_batched_pass(scheme, jobs, target, work):
     else:
         out = jobs[0][0].base
     # A job names its negative signs by a mask, or by None when it
-    # has none, as the velocity caches them.
-    masks = [(u, axis, _negative(signs)) for u, axis, signs in jobs]
-    assert _reconstruct(masks, scheme, work, out) is None
+    # has none, as the velocity caches them, and its output plane.
+    records = [(u, axis, _negative(signs), out[j])
+               for j, (u, axis, signs) in enumerate(jobs)]
+    assert _reconstruct(records, scheme, work) is None
     for j in range(len(jobs)):
         _assert_same_bits(out[j], want[j])
         for buf in work.values():
@@ -402,12 +403,17 @@ def test_batched_pass_matches_single_calls(cases):
 def test_capped_passes_match_single_calls(scheme):
     # Two mixed 96x96 jobs hold 18432 interfaces, more than one pass
     # takes (2**14), so each runs a pass of its own; three mixed 32x32
-    # jobs share one. The workspace keys its windows by the pass's job
-    # count.
+    # jobs share one. Five mixed 64x64 jobs, interleaved with jobs of
+    # no negative sign on both axes (+), run as passes of 4 and 1. The
+    # workspace keys its windows by the pass's job count.
     rng = np.random.default_rng(271)
-    for n, count, passes in ((96, 2, {1}), (32, 3, {3})):
-        jobs = [(rng.standard_normal((n, n)), k % 2,
-                 rng.uniform(-1.0, 1.0, (n, n))) for k in range(count)]
+    for n, kinds, passes in ((96, "mm", {1}), (32, "mmm", {3}),
+                             (64, "m+m+mm+m+", {4, 1})):
+        jobs = []
+        for k, kind in enumerate(kinds):
+            u = rng.standard_normal((n, n))
+            signs = rng.uniform(-1.0, 1.0, (n, n))
+            jobs.append((u, k % 2, signs if kind == "m" else np.abs(signs)))
         for target in ("out", "planes", "in place"):
             if target == "in place":
                 planes = np.stack([u for u, _, _ in jobs])
