@@ -17,10 +17,13 @@ Index conventions shared by every module in this package:
 Plane arrays are shaped (ny, nx) and indexed [j, i]; a C-order ravel of a
 plane is exactly the canonical order of that block.
 
-Every periodic shift of a plane is written once, in _roll_into: one
-np.concatenate of two blocks into a given array. The public shifted
-wraps it with fresh arrays; d and the upwind read call it directly on
-their own buffers and check nothing there.
+Every periodic shift or wrapped copy of a plane is a block copy: one
+np.concatenate of the plane's blocks into a given array, with no index
+array. A shift is _roll_into, two blocks; the public shifted wraps it
+with fresh arrays, and d and the upwind read call it directly on their
+own buffers and check nothing there. The one wrapped copy, the WENO
+reconstruction's padded plane (reconstruct._shifts), joins three: the
+plane's last entries, the whole plane and its first entries.
 
 Two input rules are written here, the lowest module, and every public
 entry of the package applies them to what its caller passed, before

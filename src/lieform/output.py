@@ -42,6 +42,8 @@ class ErrorRecord:
     runtime_ms: float
 
     def __post_init__(self) -> None:
+        # The scheme first: the messages below name it by its value.
+        object.__setattr__(self, "scheme", SchemeKind.from_name(self.scheme))
         # 4 is the smallest grid extent (grid.GridComplex2D).
         if not _is_count(self.resolution, 4):
             raise ValueError(
@@ -78,7 +80,7 @@ def read_error_table(path) -> list[ErrorRecord]:
         try:
             records.append(ErrorRecord(
                 resolution=int(parts[0]),
-                scheme=SchemeKind.from_name(parts[1]),
+                scheme=parts[1],
                 l1=float(parts[2]),
                 l2=float(parts[3]),
                 runtime_ms=float(parts[4])))

@@ -22,9 +22,12 @@ must not overlap the plane, since np.concatenate would read blocks it
 has already overwritten. A WENO pass reconstructs every interface of a
 plane in one kernel pass: the width + 1 wrapped shifts of the plane
 hold both upwind windows, and each interface picks its window from them
-by its own flow sign, in the same shift-then-mask order. A plane whose
-flow has no negative sign along axis 1 is reconstructed on its
-transpose along axis 0, so every shift is a contiguous block of rows.
+by its own flow sign, in the same shift-then-mask order. The shifts are
+views into one wrapped copy of the plane, itself one np.concatenate of
+three of the plane's blocks (_shifts), so every wrapped read of a step,
+upwind or WENO, is a block copy. A plane whose flow has no negative
+sign along axis 1 is reconstructed on its transpose along axis 0, so
+every shift is a contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
 instead of powers) so the scalar kernel and the vectorized plane path
@@ -55,7 +58,8 @@ contractions. A WENO pass uses three roles:
     the pass's shape (7 for WENO5, 9 for WENO7), fetched once per pass;
   - "window": the windows of a mixed pass, one (width, jobs, ny, nx)
     block;
-  - "pad": the wrapped copy of a job's plane.
+  - "pad": the wrapped copy of a job's plane, written by one
+    np.concatenate (see _shifts).
 An upwind read takes nothing from the workspace. WENO jobs with a
 negative sign share capped passes: in order, as many as fit in
 _PASS_INTERFACES interfaces go into one pass, so a 48x48 step's four
@@ -514,14 +518,20 @@ def _shifts(u: np.ndarray, axis: int, width: int,
     Shift s holds cell k - c - 1 + s at interface k, c = (width - 1) // 2.
     Every shift is a view into one wrapped copy of u, the workspace's
     "pad" buffer of that shape (a fresh array when work is None):
-    consecutive shifts lie one step along axis apart in it.
+    consecutive shifts lie one step along axis apart in it. The wrapped
+    copy is one np.concatenate of u's blocks along axis, like every
+    other periodic shift of the package (grid._roll_into): the last
+    c + 1 entries ([n-c-1:]), the whole plane, then the first c ([:c]).
+    So u needs at least c + 1 entries along axis; the extent checks ask
+    for more than width. u may be a transpose, and the copy is C-ordered
+    either way.
     """
-    n = u.shape[axis]
     c = (width - 1) // 2
-    shape = list(u.shape)
-    shape[axis] += width
-    padded = u.take(np.arange(-c - 1, n + c), axis=axis, mode="wrap",
-                    out=scratch(work, "pad", tuple(shape)))
+    shape = u.shape[:axis] + (u.shape[axis] + width,) + u.shape[axis + 1:]
+    blocks = ((u[-c - 1:], u, u[:c]) if axis == 0
+              else (u[:, -c - 1:], u, u[:, :c]))
+    padded = np.concatenate(blocks, axis=axis,
+                            out=scratch(work, "pad", shape))
     # A view by the ndarray constructor: padded is C-contiguous. numpy's
     # as_strided (numpy 2.4) costs about 5 us more per call, and its
     # memory traced by tracemalloc grows by about 10 bytes per call.

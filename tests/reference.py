@@ -1,6 +1,6 @@
 """Independent slow references the test suite checks the package against.
 
-Four kinds of material live here. The loop section rewrites the stencil
+Five kinds of material live here. The loop section rewrites the stencil
 updates as naive scalar Python with explicit modular wrapping, keeping
 every sum and product in the order the vectorized planes use, so the
 comparisons can demand bitwise equality. The sparse incidence operator
@@ -13,6 +13,9 @@ indicators and nonlinear weights the exact-rational tests examine are
 read from it. The exact-rational section rederives the reconstruction
 tables from polynomial reproduction conditions with fractions.Fraction,
 giving the frozen float constants an origin that is not themselves.
+The written Gauss loops integrate smooth components over edges and
+cells the way the package once wrote them, one loop per degree, so its
+one tensor rule can be held to the same bits.
 
 Nothing here imports from lieform. Where a test wants a package kernel
 inside an otherwise independent driver (the flux-difference step), the
@@ -223,6 +226,36 @@ def norm1_loop(h, blocks):
 
 def norm2_loop(blocks):
     return math.sqrt(math.fsum(v * v for block in blocks for row in block for v in row))
+
+
+# ---------------------------------------------------------------------------
+# written Gauss loops: one per degree, nodes and weights in separate tuples
+
+GAUSS_T = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
+GAUSS_W = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+
+
+def edge_line_integrals(grid, axis, f):
+    """3-point Gauss line integral of f along every x- or y-edge."""
+    X, Y = grid.node_coords()
+    acc = np.zeros(grid.shape)
+    for t, w in zip(GAUSS_T, GAUSS_W):
+        if axis == "x":
+            acc += w * np.asarray(f(X + t * grid.h, Y), dtype=np.float64)
+        else:
+            acc += w * np.asarray(f(X, Y + t * grid.h), dtype=np.float64)
+    return acc * grid.h
+
+
+def cell_area_integrals(grid, f):
+    """3x3-point Gauss area integral of f over every cell, x loop outer."""
+    X, Y = grid.node_coords()
+    acc = np.zeros(grid.shape)
+    for tx, wxq in zip(GAUSS_T, GAUSS_W):
+        for ty, wyq in zip(GAUSS_T, GAUSS_W):
+            acc += (wxq * wyq) * np.asarray(f(X + tx * grid.h, Y + ty * grid.h),
+                                            dtype=np.float64)
+    return acc * grid.h ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import reference
 from lieform.forms import (AnalyticForm, Cochain, NonFiniteValueError,
                            RectangleForm, axpy, discretize, norm)
 from lieform.grid import build_complex
+from lieform.output import read_field, write_field
 
 
 def grid54():
@@ -87,6 +88,9 @@ def test_discretize_degree0_is_pointwise():
     c = discretize(AnalyticForm(0, (lambda x, y: x + 10.0 * y,)), g)
     X, Y = g.node_coords()
     assert np.array_equal(c.plane(), X + 10.0 * Y)
+    # a point sample keeps a -0.0 that a quadrature sum would make +0.0
+    c = discretize(AnalyticForm(0, (lambda x, y: -0.0 * x,)), g)
+    assert np.signbit(c.values).all()
 
 
 def test_degree1_quadrature_exact_on_cubics():
@@ -112,6 +116,67 @@ def test_degree2_quadrature():
     assert c.plane()[0, 0] == pytest.approx(0.25 ** 4 / 4.0, rel=1e-14)
     flat = discretize(AnalyticForm(2, (lambda x, y: np.ones_like(x),)), g)
     assert np.allclose(flat.plane(), 0.25 ** 2, rtol=1e-14)
+
+
+def _signed_components():
+    """Smooth components of both signs; each returns -0.0 somewhere.
+
+    sin(0) * cos(...) is -0.0 where the cosine is negative, and a constant
+    -0.0 comes back as a Python float, not a plane.
+    """
+    return (
+        lambda x, y: np.sin(2.0 * np.pi * x) * np.cos(3.0 * np.pi * y + 1.0),
+        lambda x, y: np.where(x < 0.45, -0.0, x - 2.0 * y + 0.3),
+        lambda x, y: -0.0,
+        lambda x, y: np.cos(7.3 * x - 2.1 * y) * (x - 0.5) - 0.25 * y,
+    )
+
+
+@pytest.mark.parametrize("nx, ny, h", [(6, 5, 0.2), (33, 20, 0.03)])
+def test_gauss_rule_matches_written_loops_bitwise(nx, ny, h):
+    # One tensor rule for degrees 1 and 2 gives the bits of the two
+    # loops it replaced, kept in reference.py.
+    g = build_complex(nx, ny, h)
+    funcs = _signed_components()
+    for fx in funcs:
+        for fy in funcs:
+            got = discretize(AnalyticForm(1, (fx, fy)), g).values
+            want = np.concatenate(
+                [reference.edge_line_integrals(g, "x", fx).ravel(),
+                 reference.edge_line_integrals(g, "y", fy).ravel()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = discretize(AnalyticForm(2, (fx,)), g).values
+        want = reference.cell_area_integrals(g, fx).ravel()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_degree_is_an_int_by_the_count_rule(tmp_path):
+    # Numpy integers pass and are stored as int; a bool or a float does
+    # not pass, although True == 1 == 1.0.
+    g = grid54()
+    for d, size in ((np.int64(1), 40), (np.int32(2), 20), (np.int8(-1), 0)):
+        c = Cochain(g, d, np.zeros(size))
+        assert type(c.degree) is int and c.degree == d
+    assert type(Cochain.zeros(g, np.int64(0)).degree) is int
+    for bad in (True, False, 1.0, 0.0, "1", None):
+        with pytest.raises(ValueError, match="unsupported cochain degree"):
+            Cochain(g, bad, np.zeros(40 if bad else 20))
+    form = AnalyticForm(np.int64(1), (lambda x, y: x, lambda x, y: y))
+    assert type(form.degree) is int and form.degree == 1
+    rect = RectangleForm(np.uint8(2), 0.0, 0.5, 0.0, 0.5)
+    assert type(rect.degree) is int and rect.degree == 2
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="unsupported form degree"):
+            AnalyticForm(bad, (lambda x, y: x, lambda x, y: y))
+        with pytest.raises(ValueError, match="unsupported rectangle form degree"):
+            RectangleForm(bad, 0.0, 0.5, 0.0, 0.5)
+    # A numpy-integer degree writes as a plain int, so the dump reads back.
+    values = np.arange(40, dtype=np.float64) / 7.0
+    path = tmp_path / "field.txt"
+    write_field(path, Cochain(g, np.int64(1), values))
+    assert path.read_text().startswith("degree 1\n")
+    back = read_field(path)
+    assert back.degree == 1 and np.array_equal(back.values, values)
 
 
 def test_rectangle_form_exact_overlap():

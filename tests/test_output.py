@@ -12,7 +12,7 @@ from lieform.output import (CSV_HEADER, DUMP_CHUNK, ErrorRecord, RasterImage,
 from lieform.reconstruct import SchemeKind
 
 
-def test_error_record_guard():
+def test_error_record_guard(tmp_path):
     with pytest.raises(ValueError):
         ErrorRecord(16, SchemeKind.UPWIND, -0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -32,6 +32,20 @@ def test_error_record_guard():
         with pytest.raises(ValueError, match="resolution must be"):
             ErrorRecord(bad, SchemeKind.UPWIND, 0.1, 0.1, 1.0)
     assert ErrorRecord(np.int64(4), SchemeKind.UPWIND, 0.0, 0.0, 0.0)
+    # the scheme is resolved first, by SchemeKind.from_name
+    for bad in ("bogus", None, "WENO5"):
+        with pytest.raises(ValueError, match=r"unknown scheme .* \(options: "
+                                             r"upwind, weno5, weno7\)"):
+            ErrorRecord(8, bad, 0.1, 0.1, 1.0)
+    with pytest.raises(ValueError, match=r"l1 norm .*scheme upwind\)"):
+        ErrorRecord(8, "upwind", float("nan"), 0.1, 1.0)
+    record = ErrorRecord(8, "weno5", 0.1, 0.2, 1.5)
+    assert record.scheme is SchemeKind.WENO5
+    assert record == ErrorRecord(8, SchemeKind.WENO5, 0.1, 0.2, 1.5)
+    path = tmp_path / "errors.csv"
+    write_error_table(path, [record])
+    assert path.read_text().splitlines()[1] == "8,weno5,0.1,0.2,1.5"
+    assert read_error_table(path) == [record]
 
 
 def test_error_table_round_trip(tmp_path):

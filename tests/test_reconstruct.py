@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 import reference
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
                                  _left_biased, _negative, _reconstruct,
-                                 _weno5_parts, _weno7_parts,
+                                 _shifts, _weno5_parts, _weno7_parts,
                                  extrusion_integral,
                                  interface_point_values,
                                  reconstruct_at_interface)
@@ -397,6 +397,38 @@ def test_batched_pass_matches_single_calls(cases):
     work = {}
     for scheme, jobs, target in cases:
         _assert_batched_pass(scheme, jobs, target, work)
+
+
+@pytest.mark.parametrize("width", [5, 7])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_shifts_match_wrapped_take(width, axis, transposed):
+    # The wrapped copy is a block concatenate; it must hold the bits of
+    # the index gather np.take(..., mode="wrap") it replaced, at the
+    # stencil minimum extent (width + 1) and above, on a C- or
+    # F-ordered (transposed) plane holding -0.0 and NaNs with payloads.
+    rng = np.random.default_rng(100 * width + 10 * axis + transposed)
+    c = (width - 1) // 2
+    payload_nan = np.array([0x7FF8000000000123, -0x0007FFFFFFFFFF00],
+                           dtype=np.int64).view(np.float64)
+    for n in (width + 1, width + 2, 3 * width):
+        shape = [n + 3, n + 3]
+        shape[axis] = n
+        base = rng.standard_normal(shape[::-1] if transposed else shape)
+        base.flat[::5] = -0.0
+        base.flat[1::7] = np.nan
+        base.flat[3::11] = payload_nan[0]
+        base.flat[2::13] = payload_nan[1]
+        u = base.T if transposed else base
+        assert u.shape == tuple(shape) and u.flags.f_contiguous == transposed
+        want = np.take(u, np.arange(-c - 1, n + c), axis=axis, mode="wrap")
+        for work in (None, {}):
+            got = _shifts(u, axis, width, work)
+            assert got.shape == (width + 1,) + u.shape
+            for s in range(width + 1):
+                ref = want[s:s + n] if axis == 0 else want[:, s:s + n]
+                assert np.array_equal(got[s].view(np.int64),
+                                      ref.view(np.int64))
 
 
 @pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
