@@ -18,7 +18,8 @@ buffers, one per (role, shape). Only that call uses it, one operator at
 a time, so two advect calls (in one thread or in two) never share a
 buffer; the rule for thread safety is that one advect call owns its
 workspace, and a caller that passes a workspace to step or contract
-itself must not share it between threads.
+itself must not share it between threads. A scenario's lockstep check
+passes scenarios.split_fv_step a workspace of its own, never advect's.
 
 lie_increment splits both contractions of the step at their reads
 (contraction._contraction) and reads all their interfaces in one

@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, default=None,
                      help="override base time step (scaled with h)")
     run.add_argument("--steps", type=int, default=None,
-                     help="override per-leg step count")
+                     help="override per-leg step count; without --dt, "
+                          "dt becomes the leg's duration over this count")
     run.add_argument("--scheme", choices=[k.value for k in SchemeKind],
                      default=None, help="run a single scheme only")
     run.add_argument("--out", default="out", help="artifact directory")

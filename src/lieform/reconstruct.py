@@ -8,8 +8,9 @@ lower index uses the mirrored window, which callers build by reversing
 the read direction.
 
 _reconstruct is the one code that reads the interfaces of a plane, for
-every scheme; the contractions and the public interface_point_values
-call it. It checks nothing: the public entries (interface_point_values,
+every scheme; the contractions, the flux differencing of
+scenarios.split_fv_step and the public interface_point_values call it.
+It checks nothing: the public entries (interface_point_values,
 reconstruct_at_interface, contraction.contract and advection.advect)
 resolve the scheme and check the extent, and _reconstruct and the WENO
 kernel below it only compute. Piecewise-constant upwinding is its
@@ -69,10 +70,11 @@ Every WENO pass has one way out: its result, in its first kernel slot,
 is copied once into each job's out. So no result lives in the
 workspace, and the workspace holds nothing between calls that a later
 call relies on. One workspace must not be used by two calls at once:
-one advect call owns its workspace, and no workspace is module-level or
-shared by threads. The public interface_point_values is a one-job call
-with no workspace: its temporaries are fresh, and its result is a fresh
-C-ordered plane.
+one advect call owns its workspace, a scenario run's lockstep check
+owns another for scenarios.split_fv_step, and no workspace is
+module-level or shared by threads. The public interface_point_values is
+a one-job call with no workspace: its temporaries are fresh, and its
+result is a fresh C-ordered plane.
 
 Which window an interface takes is decided by _negative, the one
 statement of the sign rule: a flow sign below 0.0 reads the mirrored

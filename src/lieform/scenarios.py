@@ -12,8 +12,11 @@ follow from what a scenario states, with no flag for either:
   over one run (one domain period for the constant one), and the vortex
   runs forward for the duration and then back in the negated field.
 - The form's degree fixes the lockstep check: every 2-form run steps
-  flux differencing beside advect and writes the largest gap between the
-  two to equivalence.txt.
+  flux differencing (split_fv_step) beside advect and writes the
+  largest gap between the two to equivalence.txt. The check keeps a
+  workspace of its own for the whole run, apart from the one advect
+  owns, and reads its WENO faces as the step does: one private
+  reconstruction call with the velocity's cached face masks.
 
 A Scenario checks its fields when it is made, so a bad one fails before
 any directory is written.
@@ -32,10 +35,13 @@ import numpy as np
 from .advection import AdvectionConfig, advect
 # Unused here, but perfbench's CLI workloads patch lieform.scenarios.step.
 from .advection import step  # noqa: F401
-from .forms import AnalyticForm, Cochain, RectangleForm, axpy, discretize, norm
+from .forms import (AnalyticForm, Cochain, RectangleForm, _empty, axpy,
+                    discretize, norm, scratch)
 from .grid import _is_count, _require_positive, build_complex, shifted
 from .output import ErrorRecord, render_field, write_error_table, write_field, write_pgm
-from .reconstruct import SchemeKind, interface_point_values
+from .reconstruct import SchemeKind, _reconstruct, _require_extent
+# Unused here, but perfbench wraps lieform.scenarios.interface_point_values.
+from .reconstruct import interface_point_values  # noqa: F401
 from .velocity import (ConstantVelocity, StaggeredVelocity, discretize_velocity,
                        rudman_vortex)
 
@@ -86,7 +92,8 @@ class Scenario:
     schemes: tuple[SchemeKind, ...] = DEFAULT_SCHEMES   # members or names
     duration: float = 1.0         # per leg for reversed runs
     base_dt: Optional[float] = None   # dt at resolutions[0], scaled with h
-    dumps: int = 0                # intermediate dump count (start/end always)
+    dumps: int = 0                # dump every total // dumps steps (at least
+                                  # every step); first and last state always
     steps: Optional[int] = None   # explicit per-leg step count override
 
     def __post_init__(self) -> None:
@@ -213,13 +220,31 @@ def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
 
 
 def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
-                  scheme: SchemeKind) -> Cochain:
+                  scheme: SchemeKind, work: dict | None = None) -> Cochain:
     """One conservative flux-differencing update of a cell field.
 
     Spelled as per-face transport differences; the face terms combine in
     the coboundary's documented order, which makes the update coincide
     with the geometric degree-2 step exactly.
+
+    A WENO update reads both face sets in one reconstruct._reconstruct
+    call, the read contraction._contract_2form makes, with the
+    velocity's cached face masks. It skips the checks the public
+    interface_point_values makes on its signs: the velocity stands
+    behind them, as its fluxes were checked finite and of its grid's
+    shape when it was made. rho must live on vel's grid; the grid's
+    extent is checked against the stencil.
+
+    work is an optional workspace (see forms.scratch), as for
+    advection.step: the scaled plane w / h and the reconstruction's
+    "pad", "window" and "weno" buffers come from it, so a caller that
+    passes one dict to every update of a run allocates them once. It
+    is not advect's workspace: one workspace serves one caller. The
+    read faces and the returned cochain are fresh arrays, so the result
+    shares no memory with work. The upwind update uses no workspace.
+    scheme is a SchemeKind member or its name.
     """
+    scheme = SchemeKind.from_name(scheme)
     grid = rho.grid
     w = rho.plane()
     h = grid.h
@@ -229,9 +254,11 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
         west = (dt / h ** 2) * vel.flux_x * np.where(
             vel.flux_x >= 0.0, np.roll(w, 1, axis=1), w)
     else:
-        u = w / h
-        ry = interface_point_values(u, 0, vel.flux_y, scheme)
-        rx = interface_point_values(u, 1, vel.flux_x, scheme)
+        _require_extent(min(grid.nx, grid.ny), scheme)
+        u = np.divide(w, h, out=scratch(work, "tmp", grid.shape))
+        neg_x, neg_y = vel._face_negative
+        ry, rx = _empty((2, *grid.shape))
+        _reconstruct([(u, 0, neg_y, ry), (u, 1, neg_x, rx)], scheme, work)
         south = -(((ry * vel.flux_y) * dt) / h)
         west = ((rx * vel.flux_x) * dt) / h
     net = south + shifted(west, di=1) - shifted(south, dj=1) - west
@@ -255,8 +282,9 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
     velocity (the second in the negated field, built once per
     resolution and shared by its schemes), under one observer: it dumps
     the wanted states, counted across both legs, and for a 2-form
-    advances flux differencing with the leg's field and records the
-    largest gap to the geometric state.
+    advances flux differencing with the leg's field, under one
+    workspace of the pair's own, and records the largest gap to the
+    geometric state.
     A pair's directory is made when state 0 is dumped, which advect does
     only after its checks, so a run that fails them leaves none.
     """
@@ -284,12 +312,12 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
             wanted = _dump_steps(total, scenario.dumps)
             cfg = AdvectionConfig(dt=dt, steps=steps, scheme=scheme)
             rundir = out / f"{n}_{scheme.value}"
-            fv, worst = w0, 0.0
+            fv, worst, fv_work = w0, 0.0, {}
 
             def observe(k: int, w: Cochain) -> None:
                 nonlocal fv, worst
                 if k and lockstep:
-                    fv = split_fv_step(fv, leg_vel, dt, scheme)
+                    fv = split_fv_step(fv, leg_vel, dt, scheme, fv_work)
                     worst = max(worst, float(np.max(np.abs(w.values - fv.values))))
                 at = offset + k
                 if at == 0:

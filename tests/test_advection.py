@@ -153,22 +153,28 @@ def _seeded_fv_case(scheme):
 
 
 def _assert_step_2form_matches_split_fv(scheme, flux_x, flux_y, rho):
-    # The degree-2 step reconstructs both interface sets in one batched
-    # pass; flux differencing calls the public one-job reconstruction on
-    # each, whatever the signs. Five steps must agree bit for bit.
+    # The degree-2 step and flux differencing each read a WENO plane's
+    # two face sets in one private reconstruction call, with the
+    # velocity's face masks, then do their own arithmetic. Five steps
+    # must agree bit for bit, and a second flux differencing that
+    # reuses one workspace must give the same bits as the fresh one.
     g = build_complex(rho.shape[1], rho.shape[0], 0.25)
     vel = StaggeredVelocity(g, flux_x, flux_y)
     w = Cochain.from_plane(g, 2, rho)
     dt = 0.05
     config = AdvectionConfig(dt, 1, scheme)
-    fv = w
+    fv = fv_work = w
+    work = {}
     for _ in range(5):
         w = step(w, vel, config)
         fv = split_fv_step(fv, vel, dt, scheme)
+        fv_work = split_fv_step(fv_work, vel, dt, scheme, work)
         assert np.array_equal(w.plane(), fv.plane())
+        assert np.array_equal(fv_work.values.view(np.int64),
+                              fv.values.view(np.int64))
 
 
-@pytest.mark.parametrize("scheme", [SchemeKind.UPWIND, SchemeKind.WENO7])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_step_2form_matches_split_fv(scheme):
     _assert_step_2form_matches_split_fv(*_seeded_fv_case(scheme))
 
@@ -177,6 +183,29 @@ def test_step_2form_matches_split_fv(scheme):
 @given(_fv_cases())
 def test_step_2form_matches_split_fv_drawn(case):
     _assert_step_2form_matches_split_fv(*case)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("signs", ["one-signed", "mixed"])
+def test_split_fv_step_workspace_is_steady(scheme, signs):
+    # After its first update a workspace holds the same buffers: the
+    # same (role, shape) keys and bytes. The updates it serves return
+    # fresh cochains, so a result shares no memory with the workspace.
+    rng = np.random.default_rng(409)
+    g, vel = _setup(rng, 10, 9)
+    if signs == "one-signed":
+        vel = StaggeredVelocity(g, np.abs(vel.flux_x), np.abs(vel.flux_y))
+    fv = Cochain.from_plane(g, 2, rng.standard_normal(g.shape))
+    work = {}
+    layout = None
+    for _ in range(4):
+        fv = split_fv_step(fv, vel, 0.05, scheme, work)
+        now = {key: buf.nbytes for key, buf in work.items()}
+        assert layout is None or now == layout
+        layout = now
+        for buf in work.values():
+            assert not np.shares_memory(fv.values, buf)
+    assert bool(work) is (scheme is not SchemeKind.UPWIND)
 
 
 # Step-level properties on the drawn flows: dt 0.05 keeps every Courant

@@ -179,6 +179,9 @@ def test_split_fv_step_matches_loop_driver(scheme):
         w.tolist(), fx.tolist(), fy.tolist(), dt, h,
         scheme.stencil_width, transport)
     assert np.array_equal(got.plane(), np.array(want))
+    # The scheme's name takes the member's path.
+    named = split_fv_step(Cochain.from_plane(g, 2, w), vel, dt, scheme.value)
+    assert np.array_equal(named.values.view(np.int64), got.values.view(np.int64))
 
 
 def test_run_scenario_artifacts(tmp_path):
