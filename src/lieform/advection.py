@@ -17,8 +17,8 @@ bodies and reconstruct._reconstruct, and forms.scratch hands out its
 buffers, one per (role, shape). Only that call uses it, one operator at
 a time, so two advect calls (in one thread or in two) never share a
 buffer; the rule for thread safety is that one advect call owns its
-workspace, and a caller that passes a workspace to step or contract
-itself must not share it between threads. A scenario's lockstep check
+workspace, and a caller that passes a workspace to step itself must
+not share it between threads. A scenario's lockstep check
 passes scenarios.split_fv_step a workspace of its own, never advect's.
 
 lie_increment splits both contractions of the step at their reads
@@ -100,7 +100,7 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
 
     The increment is a fresh buffer, also when a workspace is passed.
     The run is checked here, once, by _check_transport with
-    config.courant_limit, as contract checks it; config has checked dt.
+    config.courant_limit, as contract checks it.
     """
     dt, scheme = config.dt, config.scheme
     _check_transport(omega, vel, dt, scheme, config.courant_limit)

@@ -6,22 +6,23 @@ empty degree -1 (geometrically zero) and the flagged degree-3 empty
 contracts to a genuine zero 2-form, so the advection assembly treats all
 degrees uniformly.
 
-contract is the one public entry, and it makes the checks; the bodies
-below it, _contract_2form and _contract_1form, check nothing. Each body
-is split at its reads: it
-returns its two reconstruct._reconstruct jobs, each a record that names
-the plane it reads and the plane its result goes into, and a finish()
-that runs the arithmetic after the read and returns the contraction
-(reconstruct.py says how an interface is read);
-_contraction picks the body by degree, and the empty degrees read
-nothing. contract makes the one read of one form and finishes it;
+contract is the one public entry, and it makes its checks through
+_check_transport, which every transport entry calls; the bodies below
+it, _contract_2form and _contract_1form, check nothing. Each body is
+split at its reads: it returns its two reconstruct._reconstruct jobs,
+each a record that names the plane it reads and the plane its result
+goes into, and a finish() that runs the arithmetic after the read and
+returns the contraction (reconstruct.py says how an interface is
+read); _contraction picks the body by degree, and the empty degrees
+read nothing. contract makes the one read of one form and finishes it;
 advection.lie_increment reads both contractions of a step in one call
-and then finishes both. The scheme picks only what goes in and the
-arithmetic after the read. _contract_2form pairs (w, 0, flux_y) with
-(w, 1, flux_x), and _contract_1form pairs (wx, 1, x node sum) with
-(wy, 0, y node sum), each job with its flux's negative-sign mask,
-which the velocity computes once, and its output plane; every scheme
-reads the same masks.
+and then finishes both; scenarios.split_fv_step reads the 2-form
+body's WENO jobs and does its own arithmetic. The scheme picks only
+what goes in and the arithmetic after the read. _contract_2form pairs
+(w, 0, flux_y) with (w, 1, flux_x), and _contract_1form pairs
+(wx, 1, x node sum) with (wy, 0, y node sum), each job with its flux's
+negative-sign mask, which the velocity computes once, and its output
+plane; every scheme reads the same masks.
 
 The piecewise-constant paths read integral values and keep every
 product and sum in the exact order of the reference loop formulation;
@@ -39,12 +40,13 @@ is exact, so the vertex form has the bits of the halved average's
 
 Each result is one flat buffer: a 1-form's x and y components are
 the two halves of a fresh buffer, written directly, and a 0-form's
-plane is reshaped, not copied. With a workspace (see advection.py) the
-0-form is its "form" buffer, the one result that lives there, which d
-consumes next; the upwind 1-form reads go into the "form" and "tmp"
-planes, the WENO 1-form reads into the "tmp" (2, ny, nx) buffer, and
-every other plane of a contraction (the scaled 2-form, the c * flux
-planes) is a "tmp" buffer of it; without one they are fresh.
+plane is reshaped, not copied. With a step's workspace (see
+advection.py) the 0-form is its "form" buffer, the one result that
+lives there, which d consumes next; the upwind 1-form reads go into
+the "form" and "tmp" planes, the WENO 1-form reads into the "tmp"
+(2, ny, nx) buffer, and every other plane of a contraction (the scaled
+2-form, the c * flux planes) is a "tmp" buffer of it; without one they
+are fresh.
 """
 
 from __future__ import annotations
@@ -69,9 +71,17 @@ class ContractionResult:
 
 
 def _check_transport(omega: Cochain, vel: StaggeredVelocity, dt: float,
-                     scheme: SchemeKind, limit: float) -> None:
-    """The grid's extent against the stencil, then the grid match (each a
-    ValueError), then the Courant number against limit (CourantError)."""
+                     scheme, limit: float) -> SchemeKind:
+    """Check a transport run and return its scheme's member.
+
+    The one run check of every transport entry (contract,
+    advection.lie_increment and advect, scenarios.split_fv_step), in
+    one order: the scheme, a member or its name; dt, a positive finite
+    number; the grid's extent against the stencil; the grid match, each
+    a ValueError; then the Courant number against limit (CourantError).
+    """
+    scheme = SchemeKind.from_name(scheme)
+    _require_positive("dt", dt)
     _require_extent(min(omega.grid.nx, omega.grid.ny), scheme)
     if vel.grid != omega.grid:
         raise ValueError("velocity and form live on different grids")
@@ -79,6 +89,7 @@ def _check_transport(omega: Cochain, vel: StaggeredVelocity, dt: float,
     if nu > limit:
         raise CourantError(
             f"courant number {nu:.6g} exceeds the configured limit {limit:g}")
+    return scheme
 
 
 def _integrate(r, flux, dt: float, h: float) -> None:
@@ -182,16 +193,15 @@ def _contraction(omega: Cochain, vel: StaggeredVelocity, dt: float,
 
 
 def contract(omega: Cochain, vel: StaggeredVelocity, dt: float,
-             scheme: SchemeKind = SchemeKind.UPWIND,
-             work: dict | None = None) -> ContractionResult:
-    """omega's contraction over dt, a fresh buffer unless work holds it.
+             scheme: SchemeKind = SchemeKind.UPWIND) -> ContractionResult:
+    """omega's contraction over dt, in fresh buffers.
 
-    Checks, in order: the scheme, dt, the extent and the grid match
-    (ValueError), then the Courant number against 1 (CourantError).
+    Checks, in order, through _check_transport: the scheme, dt, the
+    extent and the grid match (ValueError), then the Courant number
+    against 1 (CourantError). The call uses no workspace: a step's
+    contractions read in the step's own (see advection.py).
     """
-    scheme = SchemeKind.from_name(scheme)
-    _require_positive("dt", dt)
-    _check_transport(omega, vel, dt, scheme, 1.0)
-    jobs, finish = _contraction(omega, vel, dt, scheme, work)
-    _reconstruct(jobs, scheme, work)
+    scheme = _check_transport(omega, vel, dt, scheme, 1.0)
+    jobs, finish = _contraction(omega, vel, dt, scheme)
+    _reconstruct(jobs, scheme, None)
     return ContractionResult(finish(), dt)

@@ -13,10 +13,12 @@ follow from what a scenario states, with no flag for either:
   runs forward for the duration and then back in the negated field.
 - The form's degree fixes the lockstep check: every 2-form run steps
   flux differencing (split_fv_step) beside advect and writes the
-  largest gap between the two to equivalence.txt. The check keeps a
-  workspace of its own for the whole run, apart from the one advect
-  owns, and reads its WENO faces as the step does: one private
-  reconstruction call with the velocity's cached face masks.
+  largest gap between the two to equivalence.txt; a nan gap is the
+  largest. The check keeps a workspace of its own for the whole run,
+  apart from the one advect owns, checks each update's run as contract
+  does, and reads its WENO faces on the degree-2 step's own read jobs
+  (contraction._contract_2form): one private reconstruction call with
+  the velocity's cached face masks.
 
 A Scenario checks its fields when it is made, so a bad one fails before
 any directory is written.
@@ -35,11 +37,12 @@ import numpy as np
 from .advection import AdvectionConfig, advect
 # Unused here, but perfbench's CLI workloads patch lieform.scenarios.step.
 from .advection import step  # noqa: F401
-from .forms import (AnalyticForm, Cochain, RectangleForm, _empty, axpy,
-                    discretize, norm, scratch)
+from .contraction import _check_transport, _contract_2form
+from .forms import (AnalyticForm, Cochain, RectangleForm, axpy, discretize,
+                    norm)
 from .grid import _is_count, _require_positive, build_complex, shifted
 from .output import ErrorRecord, render_field, write_error_table, write_field, write_pgm
-from .reconstruct import SchemeKind, _reconstruct, _require_extent
+from .reconstruct import SchemeKind, _reconstruct
 # Unused here, but perfbench wraps lieform.scenarios.interface_point_values.
 from .reconstruct import interface_point_values  # noqa: F401
 from .velocity import (ConstantVelocity, StaggeredVelocity, discretize_velocity,
@@ -227,13 +230,18 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
     the coboundary's documented order, which makes the update coincide
     with the geometric degree-2 step exactly.
 
+    The run is checked as contract checks it, by
+    contraction._check_transport with the Courant limit 1. A bad scheme
+    (it takes a SchemeKind member or its name), dt, grid extent or grid
+    match raises ValueError, in that order, and a Courant number above
+    1 CourantError; so rho on another grid than vel's is an error, not
+    a caller's duty.
+
     A WENO update reads both face sets in one reconstruct._reconstruct
-    call, the read contraction._contract_2form makes, with the
-    velocity's cached face masks. It skips the checks the public
-    interface_point_values makes on its signs: the velocity stands
-    behind them, as its fluxes were checked finite and of its grid's
-    shape when it was made. rho must live on vel's grid; the grid's
-    extent is checked against the stencil.
+    call, on the jobs contraction._contract_2form makes: the plane w / h
+    with the velocity's cached face masks, into two fresh planes. The
+    body's finish is not run; the face arithmetic below is the oracle's
+    own. The upwind update selects its faces with np.where and np.roll.
 
     work is an optional workspace (see forms.scratch), as for
     advection.step: the scaled plane w / h and the reconstruction's
@@ -242,9 +250,8 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
     is not advect's workspace: one workspace serves one caller. The
     read faces and the returned cochain are fresh arrays, so the result
     shares no memory with work. The upwind update uses no workspace.
-    scheme is a SchemeKind member or its name.
     """
-    scheme = SchemeKind.from_name(scheme)
+    scheme = _check_transport(rho, vel, dt, scheme, 1.0)
     grid = rho.grid
     w = rho.plane()
     h = grid.h
@@ -254,15 +261,13 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
         west = (dt / h ** 2) * vel.flux_x * np.where(
             vel.flux_x >= 0.0, np.roll(w, 1, axis=1), w)
     else:
-        _require_extent(min(grid.nx, grid.ny), scheme)
-        u = np.divide(w, h, out=scratch(work, "tmp", grid.shape))
-        neg_x, neg_y = vel._face_negative
-        ry, rx = _empty((2, *grid.shape))
-        _reconstruct([(u, 0, neg_y, ry), (u, 1, neg_x, rx)], scheme, work)
+        jobs, _ = _contract_2form(rho, vel, dt, scheme, work)
+        _reconstruct(jobs, scheme, work)
+        (*_, ry), (*_, rx) = jobs
         south = -(((ry * vel.flux_y) * dt) / h)
         west = ((rx * vel.flux_x) * dt) / h
     net = south + shifted(west, di=1) - shifted(south, dj=1) - west
-    return Cochain.from_plane(grid, 2, w - net)
+    return Cochain(grid, 2, (w - net).ravel())
 
 
 def _dump_steps(total: int, dumps: int) -> set:
@@ -318,7 +323,8 @@ def run_scenario(scenario: Scenario, out_dir) -> list[ErrorRecord]:
                 nonlocal fv, worst
                 if k and lockstep:
                     fv = split_fv_step(fv, leg_vel, dt, scheme, fv_work)
-                    worst = max(worst, float(np.max(np.abs(w.values - fv.values))))
+                    # np.maximum keeps a nan gap, which max() would drop.
+                    worst = float(np.maximum(worst, np.max(np.abs(w.values - fv.values))))
                 at = offset + k
                 if at == 0:
                     rundir.mkdir(exist_ok=True)

@@ -14,12 +14,13 @@ from hypothesis.extra import numpy as hnp
 import lieform.advection
 import reference
 from lieform.advection import AdvectionConfig, advect, lie_increment, step
-from lieform.contraction import contract
+from lieform.contraction import _contraction, contract
 from lieform.derivative import exterior_derivative
 from lieform.forms import Cochain, NonFiniteValueError, axpy
 from lieform.grid import build_complex
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
-                                 extrusion_integral, interface_point_values,
+                                 _reconstruct, extrusion_integral,
+                                 interface_point_values,
                                  reconstruct_at_interface)
 from lieform.scenarios import COURANT_PC, COURANT_WENO, split_fv_step
 from lieform.velocity import (StaggeredVelocity, StreamFunctionVelocity,
@@ -359,12 +360,16 @@ def test_operators_return_fresh_values(degree, scheme, flux):
         assert out.flags.writeable
         for other in held + outs[:k]:
             assert not np.shares_memory(out, other)
-    # Under a workspace the WENO temporaries live in its buffers, and
-    # none may reach a result. The one result it hands over is a
-    # 1-form's 0-form, in the "form" buffer that d consumes next.
+    # On the step's private path, under a workspace, the WENO
+    # temporaries live in its buffers, and none may reach a result. The
+    # one result it hands over is a 1-form's 0-form, in the "form"
+    # buffer that d consumes next.
     work = {}
-    worked = [contract(omega, vel, config.dt, scheme, work).cochain.values
-              for _ in range(2)]
+    worked = []
+    for _ in range(2):
+        jobs, finish = _contraction(omega, vel, config.dt, scheme, work)
+        _reconstruct(jobs, scheme, work)
+        worked.append(finish().values)
     assert worked[0].tobytes() == outs[1].tobytes()
     assert worked[1].tobytes() == outs[1].tobytes()
     form = work.get(("form", vel.grid.shape))
@@ -464,12 +469,18 @@ def test_zero_velocity_is_exact_invariance(scheme):
 
 
 def _transport_entries(w, vel, config, seen):
-    """The four entries that check a run, each called on the same run."""
+    """The five entries that check a run, each called on the same run.
+
+    Flux differencing steps a 2-form, so it gets the zero 2-form on
+    w's grid.
+    """
+    rho = Cochain.zeros(w.grid, 2)
     return (
         lambda: advect(w, vel, config, observer=lambda k, s: seen.append(k)),
         lambda: step(w, vel, config),
         lambda: lie_increment(w, vel, config),
         lambda: contract(w, vel, config.dt, config.scheme),
+        lambda: split_fv_step(rho, vel, config.dt, config.scheme),
     )
 
 
@@ -547,11 +558,13 @@ def test_every_public_entry_resolves_the_scheme_one_way():
                             rng.uniform(-0.01, 0.01, g.shape))
     w = Cochain.from_components(g, rng.standard_normal(g.shape),
                                 rng.standard_normal(g.shape))
+    rho = Cochain.from_plane(g, 2, rng.standard_normal(g.shape))
     u, signs = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
     window = Stencil1D((1.0, 2.0, 4.0, 3.0, 1.0), 1)
     entries = (
         lambda s: AdvectionConfig(0.01, 1, s),
         lambda s: contract(w, vel, 0.01, s),
+        lambda s: split_fv_step(rho, vel, 0.01, s),
         lambda s: interface_point_values(u, 0, signs, s),
         lambda s: reconstruct_at_interface(window, s),
         lambda s: extrusion_integral(window, s, 0.5, 0.01, 1.0),

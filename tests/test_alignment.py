@@ -66,13 +66,12 @@ def test_every_step_buffer_starts_on_a_line(scheme, degree):
         assert len(seen) == config.steps + 1
         assert _unaligned(seen) == []
         # Every buffer the step's workspace hands out, and each fresh
-        # result of contract, with a workspace and without one.
+        # result of contract.
         work = {}
         results = [step(omega, vel, config, work).values]
         for form in (omega, Cochain.empty(g, 3)):
-            for w in (work, None):
-                results.append(contract(form, vel, config.dt, scheme,
-                                        w).cochain.values)
+            results.append(contract(form, vel, config.dt,
+                                    scheme).cochain.values)
         assert work
         assert _unaligned(list(work.values())) == []
         assert _unaligned(results) == []

@@ -1,5 +1,7 @@
 """Interior products against the loop references, bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lieform.forms import Cochain
 from lieform.grid import build_complex
 from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
                                  reconstruct_at_interface)
+from lieform.scenarios import split_fv_step
 from lieform.velocity import StaggeredVelocity
 
 H = 0.25
@@ -295,6 +298,17 @@ def test_contract_guards():
     fast = StaggeredVelocity(g, np.full(g.shape, H), np.zeros(g.shape))
     with pytest.raises(CourantError):
         contract(w, fast, 2.0 * H)
+    # flux differencing raises contract's errors, for a form of the
+    # velocity's shape on another grid and at Courant number 2
+    on_other = Cochain.from_plane(other, 2, np.ones(other.shape))
+    for scheme in (SchemeKind.UPWIND, SchemeKind.WENO5):
+        for entry in (contract, split_fv_step):
+            with pytest.raises(ValueError, match="^velocity and form live "
+                                                 "on different grids$"):
+                entry(on_other, vel, 0.01, scheme)
+            with pytest.raises(CourantError, match=r"^courant number 2 "
+                               r"exceeds the configured limit 1$"):
+                entry(w, fast, 2.0 * H, scheme)
     # On a zero velocity the Courant number of an infinite dt is nan,
     # which no limit catches; the dt check must.
     still = StaggeredVelocity(g, np.zeros(g.shape), np.zeros(g.shape))
@@ -304,6 +318,12 @@ def test_contract_guards():
             for form in (w, w1):
                 with pytest.raises(ValueError, match="positive and finite"):
                     contract(form, still, dt, scheme)
+    # flux differencing checks dt by the same rule, with the same text
+    for scheme in (SchemeKind.UPWIND, SchemeKind.WENO7):
+        for dt in (0.0, -0.1, np.inf, np.nan, True):
+            with pytest.raises(ValueError, match=r"^dt must be positive and "
+                               rf"finite, got {re.escape(repr(dt))}$"):
+                split_fv_step(w, still, dt, scheme)
     # the grid's smaller extent against the stencil, for every degree
     small = build_complex(12, 7, H)
     small_still = StaggeredVelocity(small, np.zeros(small.shape),

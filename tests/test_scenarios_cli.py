@@ -288,18 +288,26 @@ def test_equivalence_scenario_reports_a_gap(tmp_path, monkeypatch):
         out = honest(rho, *args)
         calls.append(1)
         if len(calls) == 2:
-            out = Cochain(out.grid, 2, out.values + 1e-3)
+            out = Cochain(out.grid, 2, out.values + bump)
         return out
 
     monkeypatch.setattr(lieform.scenarios, "split_fv_step", perturbed)
     sc = apply_overrides(builtin_scenario("volume-2form-equivalence"),
                          resolutions=(8,), steps=3, scheme="upwind")
-    run_scenario(sc, tmp_path)
-    lines = (tmp_path / "8_upwind" / "equivalence.txt").read_text().splitlines()
-    assert lines[0] == "steps 3"
-    assert lines[1].startswith("max_abs_diff ")
-    assert float(lines[1].split()[1]) > 0.0
-    assert len(calls) == 3
+    # A nan gap at step 2 must read as the worst, not drop out of the
+    # maximum: every later gap is nan too, and 0.0 would pass the check.
+    gaps = {}
+    for name, bump in (("finite", 1e-3), ("nan", np.nan)):
+        calls.clear()
+        run_scenario(sc, tmp_path / name)
+        text = (tmp_path / name / "8_upwind" / "equivalence.txt").read_text()
+        lines = text.splitlines()
+        assert lines[0] == "steps 3"
+        assert lines[1].startswith("max_abs_diff ")
+        gaps[name] = float(lines[1].split()[1])
+        assert len(calls) == 3
+    assert gaps["finite"] > 0.0
+    assert np.isnan(gaps["nan"])
 
 
 def test_run_scenario_is_deterministic(tmp_path):
