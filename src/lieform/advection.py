@@ -41,11 +41,11 @@ loops run about twice as fast on an output that starts on a line, so
 the step's speed does not follow the allocation history.
 
 Of the two pieces one is always fresh: for a 0-form the second, the
-zero form d makes of the empty contraction; otherwise the first. The
-sum goes into it, and step writes the update into the increment in
-place. So a step of a 0- or 1-form allocates one float buffer, the new
-state, with either scheme; a 2-form step also allocates contraction's
-1-form.
+zero form d makes of the empty contraction; otherwise the first. It
+has omega's grid and degree: the sum goes into it, lie_increment
+returns it as it is, and step writes the update into it in place. So a
+step of a 0- or 1-form allocates one float buffer, the new state, with
+either scheme; a 2-form step also allocates contraction's 1-form.
 """
 
 from __future__ import annotations
@@ -116,12 +116,12 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
     _reconstruct(jobs_a + jobs_b, scheme, work)
     b = exterior_derivative(finish_b(), work)
     a = finish_a()
-    # The sum goes into the fresh piece; addition commutes, so the bits
-    # do not depend on which piece that is.
+    # The sum goes into the fresh piece, which has omega's grid and
+    # degree, and is returned; addition commutes, so the bits do not
+    # depend on which piece that is.
     fresh, other = (b, a) if omega.degree == 0 else (a, b)
-    values = fresh.values
-    values += other.values
-    return Cochain(omega.grid, omega.degree, values)
+    fresh.values += other.values
+    return fresh
 
 
 def step(omega: Cochain, vel: StaggeredVelocity, config: AdvectionConfig,

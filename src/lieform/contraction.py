@@ -38,15 +38,17 @@ minus becomes a final *= -1.0, the same IEEE operation). Scaling by 2
 is exact, so the vertex form has the bits of the halved average's
 ((value * (sum / 2)) * dt) / h wherever no value is subnormal.
 
-Each result is one flat buffer: a 1-form's x and y components are
-the two halves of a fresh buffer, written directly, and a 0-form's
-plane is reshaped, not copied. With a step's workspace (see
-advection.py) the 0-form is its "form" buffer, the one result that
-lives there, which d consumes next; the upwind 1-form reads go into
-the "form" and "tmp" planes, the WENO 1-form reads into the "tmp"
-(2, ny, nx) buffer, and every other plane of a contraction (the scaled
-2-form, the c * flux planes) is a "tmp" buffer of it; without one they
-are fresh.
+Each result is one flat buffer, built unchecked (Cochain._of): a
+1-form's x and y components are the two halves of a fresh buffer,
+written directly, and a 0-form's plane is reshaped, not copied. The
+bodies read their input's planes from one reshape of its values and
+test the scheme against the module-level reconstruct._UPWIND. With a
+step's workspace (see advection.py) the 0-form is its "form" buffer,
+the one result that lives there, which d consumes next; the upwind
+1-form reads go into the "form" and "tmp" planes, the WENO 1-form reads
+into the "tmp" (2, ny, nx) buffer, and every other plane of a
+contraction (the scaled 2-form, the c * flux planes) is a "tmp" buffer
+of it; without one they are fresh.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from .forms import Cochain, _empty, scratch
 from .grid import _require_positive
-from .reconstruct import (CourantError, SchemeKind, _reconstruct,
+from .reconstruct import (_UPWIND, CourantError, SchemeKind, _reconstruct,
                           _require_extent)
 # Unused here, but perfbench wraps lieform.contraction.interface_point_values.
 from .reconstruct import interface_point_values  # noqa: F401
@@ -79,11 +81,14 @@ def _check_transport(omega: Cochain, vel: StaggeredVelocity, dt: float,
     one order: the scheme, a member or its name; dt, a positive finite
     number; the grid's extent against the stencil; the grid match, each
     a ValueError; then the Courant number against limit (CourantError).
+    The grid match tests identity first, as a step's velocity and form
+    share one grid, and only then equality.
     """
     scheme = SchemeKind.from_name(scheme)
     _require_positive("dt", dt)
-    _require_extent(min(omega.grid.nx, omega.grid.ny), scheme)
-    if vel.grid != omega.grid:
+    grid = omega.grid
+    _require_extent(min(grid.nx, grid.ny), scheme)
+    if vel.grid is not grid and vel.grid != grid:
         raise ValueError("velocity and form live on different grids")
     nu = max_courant(vel, dt)
     if nu > limit:
@@ -107,15 +112,15 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     velocity's face masks, into the result's two halves.
     """
     grid = omega.grid
-    w = omega.plane()
+    w = omega.values.reshape(grid.shape)
     planes = _empty((2, *grid.shape))
     neg_x, neg_y = vel._face_negative
-    upwind = scheme is SchemeKind.UPWIND
+    upwind = scheme is _UPWIND
     u = w if upwind else np.divide(w, grid.h,
                                    out=scratch(work, "tmp", grid.shape))
 
     def finish() -> Cochain:
-        ex, ey = planes
+        ex, ey = planes[0], planes[1]
         if upwind:
             c = dt / grid.h ** 2
             coef = scratch(work, "tmp", grid.shape)
@@ -125,7 +130,7 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
             _integrate(ex, vel.flux_y, dt, grid.h)
             ex *= -1.0
             _integrate(ey, vel.flux_x, dt, grid.h)
-        return Cochain(grid, 1, planes.ravel())
+        return Cochain._of(grid, 1, planes.ravel())
 
     return [(u, 0, neg_y, planes[0]), (u, 1, neg_x, planes[1])], finish
 
@@ -144,7 +149,7 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     planes = omega.values.reshape(2, *grid.shape)
     sum_x, sum_y = vel._node_sums
     neg_x, neg_y = vel._sum_negative
-    upwind = scheme is SchemeKind.UPWIND
+    upwind = scheme is _UPWIND
     if upwind:
         # The two node terms, read into the "form" and "tmp" planes.
         u = planes
@@ -166,7 +171,7 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
             _integrate(u[0], sum_x, dt, 2.0 * grid.h)
             _integrate(u[1], sum_y, dt, 2.0 * grid.h)
             node = np.add(u[0], u[1], out=scratch(work, "form", grid.shape))
-        return Cochain(grid, 0, node.ravel())
+        return Cochain._of(grid, 0, node.ravel())
 
     return [(u[0], 1, neg_x, out[0]), (u[1], 0, neg_y, out[1])], finish
 

@@ -11,6 +11,7 @@ assembly in advection.py needs no degree special cases.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,6 +72,23 @@ class Cochain:
             raise ValueError(
                 f"degree-{self.degree} cochain needs {want} values, "
                 f"got {self.values.size}")
+
+    @classmethod
+    def _of(cls, grid: GridComplex2D, degree: int,
+            values: np.ndarray) -> "Cochain":
+        """A cochain of values as given, with nothing checked.
+
+        For the results of d and of the contraction bodies only, whose
+        construction guarantees what __post_init__ checks: a plain int
+        degree in range and a flat, C-contiguous float64 buffer of
+        cell_count(degree) values (0 for the empty degrees). It costs
+        0.3 us against 0.9 us, and a 1-form step makes four results.
+        """
+        self = object.__new__(cls)
+        self.grid = grid
+        self.degree = degree
+        self.values = values
+        return self
 
     @classmethod
     def zeros(cls, grid: GridComplex2D, degree: int) -> "Cochain":
@@ -185,11 +203,13 @@ def _empty(shape: tuple) -> np.ndarray:
     It is a view into a buffer one line longer. Every float buffer of a
     step comes from here: the workspace buffers, the fresh results of
     the operators and the velocity's planes. Only the SIMD loop numpy
-    picks depends on where a buffer starts, never the bits.
+    picks depends on where a buffer starts, never the bits. The address
+    is read through a ctypes view of the buffer, which costs a third of
+    numpy's raw.ctypes.data.
     """
     size = math.prod(shape)
     raw = np.empty(size + _LINE // 8)
-    start = (-raw.ctypes.data % _LINE) // 8
+    start = (-ctypes.addressof(ctypes.c_char.from_buffer(raw)) % _LINE) // 8
     return raw[start:start + size].reshape(shape)
 
 

@@ -63,7 +63,14 @@ def _require_positive(name: str, x) -> None:
 
 @dataclass(frozen=True)
 class GridComplex2D:
-    """Uniform periodic grid of square cells with edge length h."""
+    """Uniform periodic grid of square cells with edge length h.
+
+    Besides its fields it stores, computed once when it is made, shape,
+    the plane-array shape (ny, nx) indexed [j, i], and size, the number
+    of cells nx * ny. A step reads them about 25 times. They are plain
+    attributes, not fields, so repr, ==, hash and dataclasses.fields
+    see nx, ny and h only, and dataclasses.replace recomputes them.
+    """
 
     nx: int
     ny: int
@@ -78,15 +85,8 @@ class GridComplex2D:
         _require_positive("edge length", self.h)
         for name, cast in (("nx", int), ("ny", int), ("h", float)):
             object.__setattr__(self, name, cast(getattr(self, name)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Plane-array shape (ny, nx), indexed [j, i]."""
-        return (self.ny, self.nx)
-
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny
+        object.__setattr__(self, "shape", (self.ny, self.nx))
+        object.__setattr__(self, "size", self.nx * self.ny)
 
     def cell_count(self, k: int) -> int:
         """Number of k-dimensional entities."""

@@ -135,6 +135,9 @@ class SchemeKind(enum.Enum):
 
 # Keyed by value: a str hashes in C, an enum member through Python code.
 _STENCIL_WIDTH = {"upwind": 1, "weno5": 5, "weno7": 7}
+# Tested by identity: an Enum's class attribute is read through Python
+# code, a module global is not.
+_UPWIND = SchemeKind.UPWIND
 
 
 @dataclass(frozen=True)
@@ -352,7 +355,7 @@ def reconstruct_at_interface(stencil: Stencil1D, scheme: SchemeKind) -> float:
     """
     scheme = SchemeKind.from_name(scheme)
     _require_width(len(stencil.values), scheme)
-    if scheme is SchemeKind.UPWIND:
+    if scheme is _UPWIND:
         return float(stencil.values[0])
     return float(_left_biased(scheme, stencil.values))
 
@@ -470,15 +473,17 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None) -> None:
     before its result is written. Upwind jobs run in order, so an
     upwind out may be the plane of an earlier job.
     """
-    width = scheme.stencil_width
-    mixed = []
-    for u, axis, neg, out in jobs:
-        if width == 1:
-            # Upwind: the window is the upwind entry alone.
+    if scheme is _UPWIND:
+        # The window is the upwind entry alone.
+        for u, axis, neg, out in jobs:
             read = _roll_into(u, u.shape[axis] - 1, axis, out)
             if neg is not None:
                 np.copyto(read, u, where=neg)
-        elif neg is not None:
+        return
+    width = scheme.stencil_width
+    mixed = []
+    for u, axis, neg, out in jobs:
+        if neg is not None:
             mixed.append((u, axis, neg, out))
         else:
             if axis == 1:

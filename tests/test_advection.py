@@ -318,6 +318,52 @@ def test_one_pass_step_equals_the_public_cartan_sum(case):
                 omega = new
 
 
+def _assert_valid_cochain(r):
+    # What the public constructor checks and the operators' private one
+    # skips: a plain int degree, and values that are a flat, C-contiguous
+    # float64 array of the degree's cell count (0 for the empty
+    # degrees). The public constructor must take the result as it is.
+    want = r.grid.cell_count(r.degree) if r.degree in (0, 1, 2) else 0
+    assert type(r.degree) is int and r.degree in (-1, 0, 1, 2, 3)
+    assert type(r.values) is np.ndarray and r.values.dtype == np.float64
+    assert r.values.ndim == 1 and r.values.size == want
+    assert r.values.flags.c_contiguous
+    bits = r.values.tobytes()
+    again = Cochain(r.grid, r.degree, r.values)
+    assert (again.grid, again.degree) == (r.grid, r.degree)
+    assert again.values.tobytes() == bits
+
+
+@settings(max_examples=30, deadline=None)
+@given(_step_cases())
+def test_unchecked_results_are_valid_cochains_drawn(case):
+    # d, the contraction bodies and lie_increment build their results
+    # unchecked (Cochain._of); every result they hand out, through the
+    # public entries with and without a workspace, empty degrees
+    # included, must pass the public constructor, and a step's new
+    # state must share no memory with the workspace it ran in.
+    scheme, vel, planes, _, _ = case
+    g = vel.grid
+    config = AdvectionConfig(0.05, 1, scheme)
+    work = {}
+    for omega in (Cochain.from_plane(g, 0, planes[0]),
+                  Cochain.from_components(g, *planes),
+                  Cochain.from_plane(g, 2, planes[1])):
+        for _ in range(2):
+            _assert_valid_cochain(exterior_derivative(omega))
+            _assert_valid_cochain(exterior_derivative(omega, {}))
+            _assert_valid_cochain(
+                contract(omega, vel, config.dt, scheme).cochain)
+            _assert_valid_cochain(lie_increment(omega, vel, config))
+            _assert_valid_cochain(lie_increment(omega, vel, config, work))
+            _assert_valid_cochain(step(omega, vel, config))
+            new = step(omega, vel, config, work)
+            _assert_valid_cochain(new)
+            for buf in work.values():
+                assert not np.shares_memory(new.values, buf)
+            omega = new
+
+
 def _flux_setup(flux, degree, seed):
     """9x8 velocity (mixed, positive or negative flux), degree-k form."""
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 """Complex construction, canonical indexing, incidence structure."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lieform.forms import Cochain
 from lieform.grid import (CellRef, GridComplex2D, _roll_into, boundary_chain,
                           build_complex, shifted)
+from lieform.output import read_field, write_field
 from reference import boundary_operator
 
 
@@ -41,6 +44,34 @@ def test_build_complex_casts_and_validates():
     g = build_complex(np.int64(6), np.int32(4), np.float64(0.25))
     assert g == build_complex(6, 4, 0.25)
     assert (type(g.nx), type(g.ny), type(g.h)) == (int, int, float)
+
+
+def test_stored_extents_leave_the_dataclass_as_it_was(tmp_path):
+    # shape and size are computed once, when the grid is made, and kept
+    # beside the fields; repr, ==, hash and the field list see nx, ny
+    # and h only.
+    g = build_complex(7, 5, 0.125)
+    assert (g.shape, g.size) == ((5, 7), 35)
+    assert [f.name for f in dataclasses.fields(GridComplex2D)] == \
+        ["nx", "ny", "h"]
+    assert repr(g) == "GridComplex2D(nx=7, ny=5, h=0.125)"
+    assert g == GridComplex2D(7, 5, 0.125)
+    assert hash(g) == hash(GridComplex2D(7, 5, 0.125)) == hash((7, 5, 0.125))
+    assert g != build_complex(7, 5, 0.25) and g != build_complex(5, 7, 0.125)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nx = 8
+    # replace makes a new grid through __init__, which recomputes them
+    for changes, shape in (({"nx": 9}, (5, 9)), ({"ny": 6}, (6, 7)),
+                           ({"h": 0.5}, (5, 7))):
+        r = dataclasses.replace(g, **changes)
+        assert r == GridComplex2D(**{"nx": 7, "ny": 5, "h": 0.125, **changes})
+        assert (r.shape, r.size) == (shape, shape[0] * shape[1])
+    # a grid read back from a dump equals, and hashes like, the one built
+    path = tmp_path / "field.txt"
+    write_field(path, Cochain.from_plane(g, 2, np.arange(35.0).reshape(5, 7)))
+    back = read_field(path).grid
+    assert back == g and hash(back) == hash(g)
+    assert (back.shape, back.size) == ((5, 7), 35)
 
 
 def test_cell_counts():
