@@ -26,14 +26,17 @@ lie_increment splits both contractions of the step at their reads
 _reconstruct call; then it runs both contractions' arithmetic and the
 Cartan sum. So the workspace holds d omega while the contraction of
 omega reads. It holds the buffers that die within a step: d's result
-and its shifted plane; the 1-form contraction's two read planes and its
-0-form; the upwind 2-form contraction's c * flux plane; the WENO
-contractions' averaged planes; and the wrapped copies, windows and
-kernel temporaries of the step's one reconstruction call (see
+(d reads its input's neighbours as flat slices and needs no other
+buffer); the 1-form contraction's two read planes and its 0-form; the
+upwind 2-form contraction's c * flux plane; the WENO contractions'
+averaged planes; and the wrapped copies, windows and kernel
+temporaries of the step's one reconstruction call (see
 reconstruct.py). A 1-form upwind step needs four planes of it: the
 "form" plane that holds d omega, into which the 1-form contraction then
-reads its first node term, the "tmp" plane, and the 1-form d makes of
-the contraction's 0-form. Nothing that step returns lives in it. Called
+reads its first node term, the "tmp" plane that holds its second node
+term and then the 2-form contraction's c * flux plane, and the two
+planes of the 1-form d makes of the contraction's 0-form. Nothing that
+step returns lives in it. Called
 without a workspace, every operator returns fresh buffers. Every
 buffer, the workspace's and the fresh ones alike, starts on a 64-byte
 line (forms._empty): numpy aligns to 16 bytes only, and its AVX-512
@@ -110,6 +113,15 @@ def lie_increment(omega: Cochain, vel: StaggeredVelocity,
     # read d omega, come first, and upwind jobs run in order. The
     # 1-form's arithmetic runs first, as it frees the "tmp" plane that
     # the 2-form's upwind arithmetic writes.
+    # A run's workspace buffers are first requested in the order the
+    # operators run, d omega's "form" plane first, and nothing is
+    # requested ahead. The order is measured heap behaviour: it decides
+    # which pages a run's first steps fault, not what they compute.
+    # Traced through perfbench's repeat loop on the 128^2 CLI vortex,
+    # the first two steps of a leg fault 192-224 and 64 pages in this
+    # order, 224 and 64 with the "tmp" plane d used to request, and
+    # asking for "tmp" before "form" at the start of advect, or the
+    # reverse, moved neither count by more than 3 pages.
     jobs_a, finish_a = _contraction(
         exterior_derivative(omega, work), vel, dt, scheme, work)
     jobs_b, finish_b = _contraction(omega, vel, dt, scheme, work)

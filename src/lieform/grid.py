@@ -17,13 +17,17 @@ Index conventions shared by every module in this package:
 Plane arrays are shaped (ny, nx) and indexed [j, i]; a C-order ravel of a
 plane is exactly the canonical order of that block.
 
-Every periodic shift or wrapped copy of a plane is a block copy: one
-np.concatenate of the plane's blocks into a given array, with no index
-array. A shift is _roll_into, two blocks; the public shifted wraps it
-with fresh arrays, and d and the upwind read call it directly on their
-own buffers and check nothing there. The one wrapped copy, the WENO
-reconstruction's padded plane (reconstruct._shifts), joins three: the
-plane's last entries, the whole plane and its first entries.
+Every periodic shift of a plane is a few flat block copies into a
+given C-contiguous array, with no index array: _roll_into copies two
+contiguous blocks of rows along y, and along x one flat block offset
+by k entries and a strided fix-up of the columns that wrap. The public
+shifted wraps it with fresh C-ordered arrays, and the upwind read calls
+it directly on its own buffers and checks nothing there. d reads its
+neighbours the same way, as flat slices of its input, without copying
+them (derivative.py). The one wrapped copy, the WENO reconstruction's
+padded plane (reconstruct._shifts), is one concatenation of three
+blocks: the plane's last entries, the whole plane and its first
+entries.
 
 Two input rules are written here, the lowest module, and every public
 entry of the package applies them to what its caller passed, before
@@ -150,34 +154,51 @@ def build_complex(nx: int, ny: int, h: float) -> GridComplex2D:
 def shifted(plane: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
     """Periodic shift: result[j, i] = plane[(j + dj) % ny, (i + di) % nx].
 
-    The result is a fresh array. A shift along one axis (or none, after
-    whole multiples of the extent are dropped) is one _roll_into; a
-    diagonal shift is two, through a second array.
+    The result is a fresh C-ordered array of the plane's dtype. A shift
+    along one axis (or none, after whole multiples of the extent are
+    dropped) is one _roll_into; a diagonal shift is two, through a
+    second array.
     """
     ny, nx = plane.shape
     dj %= ny
     di %= nx
-    out = np.empty_like(plane)
+    out = np.empty(plane.shape, plane.dtype)
     if not di:
         return _roll_into(plane, dj, 0, out)
     if not dj:
         return _roll_into(plane, di, 1, out)
     return _roll_into(_roll_into(plane, dj, 0, out), di, 1,
-                      np.empty_like(plane))
+                      np.empty(plane.shape, plane.dtype))
 
 
 def _roll_into(plane: np.ndarray, k: int, axis: int,
                out: np.ndarray) -> np.ndarray:
     """out[..., i, ...] = plane[..., i + k, ...] along axis, 0 <= k < n.
 
-    One np.concatenate of the plane's blocks [k:] and [:k] into out,
-    which it returns. Nothing is checked: out must have the plane's
-    shape and must not overlap it, since np.concatenate would read
-    blocks it has already overwritten.
+    Flat block copies into out, which it returns. Along y the shift is
+    the flat plane offset by k rows: two contiguous blocks. Along x it
+    is one block offset by k entries, which is right except in the k
+    columns that wrap, then a strided copy of those columns; for
+    k > nx / 2 the block is offset the other way, by nx - k, and the
+    fix-up is the first nx - k columns, so the upwind read (k = nx - 1)
+    fixes one column. Nothing is checked: out must have the plane's
+    shape, be C-contiguous and not overlap the plane. The plane may
+    have any layout: its row blocks are read as they lie, and along x
+    a non-contiguous plane is read through a C-ordered copy.
     """
-    blocks = ((plane[k:], plane[:k]) if axis == 0
-              else (plane[:, k:], plane[:, :k]))
-    return np.concatenate(blocks, axis=axis, out=out)
+    ny, nx = plane.shape
+    if axis == 0:
+        out[:ny - k] = plane[k:]
+        out[ny - k:] = plane[:k]
+        return out
+    flat, dest = plane.ravel(), out.ravel()
+    if 2 * k <= nx:
+        dest[:flat.size - k] = flat[k:]
+        out[:, nx - k:] = plane[:, :k]
+    else:
+        dest[nx - k:] = flat[:flat.size - nx + k]
+        out[:, :nx - k] = plane[:, k:]
+    return out
 
 
 def boundary_chain(grid: GridComplex2D, ref: CellRef) -> list[tuple[int, int]]:

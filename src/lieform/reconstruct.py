@@ -15,20 +15,21 @@ reconstruct_at_interface, contraction.contract and advection.advect)
 resolve the scheme and check the extent, and _reconstruct and the WENO
 kernel below it only compute. Piecewise-constant upwinding is its
 width-1 case: the window is the upwind entry alone, so the read is a
-periodic shift of the plane (grid._roll_into, one np.concatenate of two
-blocks into the caller's output), then, where the flow sign is
-negative, a copy of the plane itself over it (np.copyto with the sign
-mask). A direction with no negative sign is one block copy. The output
-must not overlap the plane, since np.concatenate would read blocks it
-has already overwritten. A WENO pass reconstructs every interface of a
-plane in one kernel pass: the width + 1 wrapped shifts of the plane
-hold both upwind windows, and each interface picks its window from them
-by its own flow sign, in the same shift-then-mask order. The shifts are
-views into one wrapped copy of the plane, itself one np.concatenate of
-three of the plane's blocks (_shifts), so every wrapped read of a step,
-upwind or WENO, is a block copy. A plane whose flow has no negative
-sign along axis 1 is reconstructed on its transpose along axis 0, so
-every shift is a contiguous block of rows.
+periodic shift of the plane (grid._roll_into, flat block copies into
+the caller's output), then, where the flow sign is negative, a copy of
+the plane itself over it (np.copyto with the sign mask). A direction
+with no negative sign is one shift. The output must be C-contiguous
+and must not overlap the plane, since a later block copy would read
+entries an earlier one has already overwritten. A WENO pass
+reconstructs every interface of a plane in one kernel pass: the
+width + 1 wrapped shifts of the plane hold both upwind windows, and
+each interface picks its window from them by its own flow sign, in the
+same shift-then-mask order. The shifts are views into one wrapped copy
+of the plane, itself one np.concatenate of three of the plane's blocks
+(_shifts), so every wrapped read of a step, upwind or WENO, is a block
+copy. A plane whose flow has no negative sign along axis 1 is
+reconstructed on its transpose along axis 0, so every shift is a
+contiguous block of rows.
 
 The arithmetic below is order-pinned (left-assoc sums, explicit products
 instead of powers) so the scalar kernel and the vectorized plane path
@@ -447,11 +448,12 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None) -> None:
     make sure.
 
     Upwind: out is the entry one step back along axis, a periodic shift
-    that joins the plane's blocks [k:] and [:k], k = extent - 1, by
-    grid._roll_into; where the mask is set, np.copyto then copies the
-    plane itself over it. No workspace buffer is used. out must not
-    overlap its job's plane: np.concatenate would read blocks it has
-    already overwritten.
+    by k = extent - 1 (grid._roll_into: along y two blocks of rows,
+    along x one flat block and a one-column fix-up); where the mask is
+    set, np.copyto then copies the plane itself over it. No workspace
+    buffer is used. out must be C-contiguous and must not overlap its
+    job's plane: a later block copy would read entries an earlier one
+    has already overwritten.
 
     WENO: each interface is reconstructed once from shifts 0..width of
     its plane (see _shifts): the positive window is shifts 0..width-1
@@ -526,9 +528,10 @@ def _shifts(u: np.ndarray, axis: int, width: int,
     Every shift is a view into one wrapped copy of u, the workspace's
     "pad" buffer of that shape (a fresh array when work is None):
     consecutive shifts lie one step along axis apart in it. The wrapped
-    copy is one np.concatenate of u's blocks along axis, like every
-    other periodic shift of the package (grid._roll_into): the last
-    c + 1 entries ([n-c-1:]), the whole plane, then the first c ([:c]).
+    copy is one np.concatenate of three of u's blocks along axis (a
+    plain shift, grid._roll_into, is two or three flat block copies):
+    the last c + 1 entries ([n-c-1:]), the whole plane, then the first
+    c ([:c]).
     So u needs at least c + 1 entries along axis; the extent checks ask
     for more than width. u may be a transpose, and the copy is C-ordered
     either way.

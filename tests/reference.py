@@ -1,9 +1,11 @@
 """Independent slow references the test suite checks the package against.
 
-Five kinds of material live here. The loop section rewrites the stencil
+Six kinds of material live here. The loop section rewrites the stencil
 updates as naive scalar Python with explicit modular wrapping, keeping
 every sum and product in the order the vectorized planes use, so the
-comparisons can demand bitwise equality. The sparse incidence operator
+comparisons can demand bitwise equality. The restriction loops map a
+cochain on a (2ny, 2nx) grid to its (ny, nx) coarsening by adding the
+fine integrals each coarse entity covers. The sparse incidence operator
 assembles the chain boundary as a scipy.sparse matrix, so the stencil
 coboundary and the identity "boundary of a boundary is zero" can be
 checked against plain matrix products. The written-form WENO kernel
@@ -54,6 +56,39 @@ def curl_loop(wx, wy):
     return [[wx[j][i] + wy[j][(i + 1) % nx] - wx[(j + 1) % ny][i] - wy[j][i]
              for i in range(nx)]
             for j in range(ny)]
+
+
+# ---------------------------------------------------------------------------
+# cochain restriction from a (2ny, 2nx) grid to its (ny, nx) coarsening
+#
+# Coarse entity (i, j) covers the fine entities with labels 2i..2i+1 and
+# 2j..2j+1 that lie inside it. Integrals add up, so restriction commutes
+# with the coboundary: the fine edges inside a coarse edge telescope, and
+# the fine edges inside a coarse cell cancel in pairs.
+
+
+def restrict_0form_loop(f):
+    """Coarse vertex (i, j) is fine vertex (2i, 2j), injected."""
+    ny, nx = _shape(f)
+    return [[f[2 * j][2 * i] for i in range(nx // 2)] for j in range(ny // 2)]
+
+
+def restrict_1form_loop(wx, wy):
+    """A coarse edge is the sum of the two fine edges it covers."""
+    ny, nx = _shape(wx)
+    cx = [[wx[2 * j][2 * i] + wx[2 * j][2 * i + 1] for i in range(nx // 2)]
+          for j in range(ny // 2)]
+    cy = [[wy[2 * j][2 * i] + wy[2 * j + 1][2 * i] for i in range(nx // 2)]
+          for j in range(ny // 2)]
+    return cx, cy
+
+
+def restrict_2form_loop(w):
+    """A coarse cell is the sum of its four fine cells."""
+    ny, nx = _shape(w)
+    return [[w[2 * j][2 * i] + w[2 * j][2 * i + 1] + w[2 * j + 1][2 * i]
+             + w[2 * j + 1][2 * i + 1] for i in range(nx // 2)]
+            for j in range(ny // 2)]
 
 
 # ---------------------------------------------------------------------------

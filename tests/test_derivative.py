@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from lieform.derivative import exterior_derivative
-from lieform.forms import Cochain
+from lieform.forms import AnalyticForm, Cochain, RectangleForm, discretize
 from lieform.grid import CellRef, boundary_chain, build_complex
 from reference import boundary_operator
 
@@ -97,3 +97,65 @@ def test_stokes_pairing_every_entity():
             for col, sign in boundary_chain(g, g.unflatten(k, idx)):
                 acc = acc + sign * cochain.values[col]
             assert acc == d[idx]
+
+
+def _restrict(c):
+    # c on a (2ny, 2nx) grid, restricted to its (ny, nx) coarsening by
+    # the loops in tests/reference.py.
+    g = c.grid
+    coarse = build_complex(g.nx // 2, g.ny // 2, 2.0 * g.h)
+    if c.degree == 1:
+        cx, cy = reference.restrict_1form_loop(c.component("x").tolist(),
+                                               c.component("y").tolist())
+        return Cochain.from_components(coarse, np.array(cx), np.array(cy))
+    loop = {0: reference.restrict_0form_loop,
+            2: reference.restrict_2form_loop}[c.degree]
+    return Cochain.from_plane(coarse, c.degree,
+                              np.array(loop(c.plane().tolist())))
+
+
+# fine (nx, ny): non-square, down to the 4x4 coarse minimum
+_FINE = [(8, 10), (12, 8), (14, 18)]
+
+
+@pytest.mark.parametrize("nx, ny", _FINE)
+def test_restriction_commutes_with_d(nx, ny):
+    # Restricting and then taking d on the coarse grid equals taking d
+    # on the fine grid and then restricting: to roundoff on real data,
+    # and exactly on integer-valued cochains, whose sums are exact.
+    rng = np.random.default_rng(36 + nx)
+    g = build_complex(nx, ny, 1.0 / nx)
+    real = (Cochain.from_plane(g, 0, rng.standard_normal((ny, nx))),
+            Cochain(g, 1, rng.standard_normal(2 * g.size)))
+    ints = (Cochain.from_plane(g, 0, rng.integers(-999, 999, (ny, nx)) * 1.0),
+            Cochain(g, 1, rng.integers(-999, 999, 2 * g.size) * 1.0))
+    for c in real:
+        fine_first = _restrict(exterior_derivative(c)).values
+        coarse_first = exterior_derivative(_restrict(c)).values
+        gap = np.max(np.abs(fine_first - coarse_first))
+        assert gap <= 1e-14 * np.max(np.abs(c.values))
+    for c in ints:
+        fine_first = _restrict(exterior_derivative(c)).values
+        assert np.array_equal(fine_first,
+                              exterior_derivative(_restrict(c)).values)
+        assert np.any(fine_first != 0.0)
+
+
+@pytest.mark.parametrize("nx, ny", _FINE)
+def test_restriction_adds_integrals(nx, ny):
+    # The restriction is exact for integrals: a form discretized on the
+    # fine grid and restricted equals the form discretized on the coarse
+    # grid, to roundoff for edge and cell integrals (exact overlaps of a
+    # rectangle that cuts cells) and bit for bit for vertex samples.
+    fine = build_complex(nx, ny, 1.0 / nx)
+    coarse = build_complex(nx // 2, ny // 2, 2.0 / nx)
+    for form in (RectangleForm(1, 0.23, 0.71, 0.31, 0.66, dx_coeff=0.5,
+                               dy_coeff=-1.5),
+                 RectangleForm(2, 0.23, 0.71, 0.31, 0.66, density=2.5)):
+        got = _restrict(discretize(form, fine)).values
+        want = discretize(form, coarse).values
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.count_nonzero(want) > 0
+    smooth = AnalyticForm(0, (lambda x, y: np.sin(6.0 * x) * np.cos(4.0 * y),))
+    assert np.array_equal(_restrict(discretize(smooth, fine)).values,
+                          discretize(smooth, coarse).values)

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference
+from lieform.derivative import exterior_derivative
 from lieform.forms import Cochain
 from lieform.grid import (CellRef, GridComplex2D, _roll_into, boundary_chain,
                           build_complex, shifted)
@@ -182,6 +187,92 @@ def test_roll_into_fills_only_out():
                       buf[20:].reshape(4, 5)).base is buf
     assert np.array_equal(buf[20:].reshape(4, 5),
                           np.roll(np.arange(20.0).reshape(4, 5), -1, axis=1))
+
+
+# Values a copy must carry bit for bit: both zeros, nan, both
+# infinities and subnormals, beside ordinary floats.
+_AWKWARD = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                            -5e-324, 2.5e-310, -1e-308, 1.0, -3.5])
+
+
+@st.composite
+def _shift_cases(draw):
+    # Two planes on a non-square grid down to the 4-cell minimum, and a
+    # whole number of periods to add to every shift.
+    ny = draw(st.integers(4, 9))
+    nx = draw(st.integers(4, 9).filter(lambda n: n != ny))
+    planes = draw(hnp.arrays(np.float64, (2, ny, nx),
+                             elements=st.one_of(_AWKWARD, st.floats())))
+    return planes, draw(st.integers(-2, 2))
+
+
+def _same_or_both_nan(a, b):
+    # Entries equal bit for bit, and nan in the same places: the loop
+    # adds wx + wy where d adds wy + wx, so of two nans each may keep
+    # the other's payload.
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _in_buffer(values, home):
+    # values copied into home, a flat block of a larger buffer, in the
+    # layout of values: a transposed plane stays a transposed view.
+    if values.flags.c_contiguous:
+        view = home.reshape(values.shape)
+    else:
+        view = home.reshape(values.shape[::-1]).T
+    view[...] = values
+    return view
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shift_cases())
+def test_flat_shifts_equal_roll_drawn(case):
+    # Every periodic shift is flat block copies, and d reads its
+    # neighbours from flat slices of its input: each must give np.roll's
+    # bits (the loops' for d), for every k on both axes, on float,
+    # transposed and integer planes, and write nothing outside its out.
+    (wx, wy), wraps = case
+    ny, nx = wx.shape
+    ints = np.arange(wx.size, dtype=np.int64).reshape(ny, nx) * 7 - 11
+    for plane in (wx, wx.T, ints, ints.T):
+        rows, cols = plane.shape
+        n = plane.size
+        for axis in (0, 1):
+            for k in range(plane.shape[axis]):
+                want = np.roll(plane, -k, axis=axis)
+                # out right after the plane in one buffer, then before it
+                for at, home in ((n + 2, 2), (2, n + 2)):
+                    buf = np.full(2 * n + 5, 3, dtype=plane.dtype)
+                    source = _in_buffer(plane, buf[home:home + n])
+                    before = buf.copy()
+                    out = buf[at:at + n].reshape(rows, cols)
+                    assert _roll_into(source, k, axis, out) is out
+                    assert out.tobytes() == want.tobytes()
+                    kept = np.ones(buf.size, dtype=bool)
+                    kept[at:at + n] = False
+                    assert buf[kept].tobytes() == before[kept].tobytes()
+        shifts = ([(k + wraps * cols, 0) for k in range(cols)]
+                  + [(0, k + wraps * rows) for k in range(rows)]
+                  + [(1 + wraps * cols, rows - 1), (cols - 1, 2 - wraps)])
+        for di, dj in shifts:
+            got = shifted(plane, di=di, dj=dj)
+            assert got.dtype == plane.dtype and got.flags.c_contiguous
+            assert not np.shares_memory(got, plane)
+            want = np.roll(plane, (-dj, -di), axis=(0, 1))
+            assert got.tobytes() == want.tobytes()
+    g = build_complex(nx, ny, 0.25)
+    gx, gy = reference.grad_loop(wx.tolist())
+    grad = np.concatenate([np.ravel(gx), np.ravel(gy)])
+    curl = np.ravel(reference.curl_loop(wx.tolist(), wy.tolist()))
+    work = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w in (None, work, work):
+            d0 = exterior_derivative(Cochain.from_plane(g, 0, wx), w)
+            assert _same_or_both_nan(d0.values, grad)
+            d1 = exterior_derivative(Cochain.from_components(g, wx, wy), w)
+            assert _same_or_both_nan(d1.values, curl)
 
 
 def test_node_coords():
