@@ -33,16 +33,20 @@ a swap of the two operands of one * or + is exact in IEEE arithmetic,
 so the bits are those of the written formulas. The WENO paths read 1-D
 averages (value / h), following the signs of the face fluxes or of the
 node sums, then integrate: ((value * flux) * dt) / h at a face and
-((value * sum) * dt) / (2h) at a vertex, computed in place (a leading
-minus becomes a final *= -1.0, the same IEEE operation). Scaling by 2
-is exact, so the vertex form has the bits of the halved average's
-((value * (sum / 2)) * dt) / h wherever no value is subnormal.
+((value * sum) * dt) / (2h) at a vertex, computed in place. A leading
+minus goes into the time step, ((value * flux) * (-dt)) / h, as the
+upwind path puts it into its coefficient: negation is exact and
+round-to-nearest is symmetric, so the bits are those of the negated
+result. Scaling by 2 is exact, so the vertex form has the bits of the
+halved average's ((value * (sum / 2)) * dt) / h wherever no value is
+subnormal.
 
 Each result is one flat buffer, built unchecked (Cochain._of): a
 1-form's x and y components are the two halves of a fresh buffer,
 written directly, and a 0-form's plane is reshaped, not copied. The
-bodies read their input's planes from one reshape of its values and
-test the scheme against the module-level reconstruct._UPWIND. With a
+bodies read their input's planes from one reshape of its values, and
+take the upwind arithmetic where the scheme's member has stencil width
+1, the one upwind test of every module (reconstruct.SchemeKind). With a
 step's workspace (see advection.py) the 0-form is its "form" buffer,
 the one result that lives there, which d consumes next; the upwind
 1-form reads go into the "form" and "tmp" planes, the WENO 1-form reads
@@ -59,8 +63,7 @@ import numpy as np
 
 from .forms import Cochain, _empty, scratch
 from .grid import _require_positive
-from .reconstruct import (_UPWIND, CourantError, SchemeKind, _reconstruct,
-                          _require_extent)
+from .reconstruct import CourantError, SchemeKind, _reconstruct, _require_extent
 # Unused here, but perfbench wraps lieform.contraction.interface_point_values.
 from .reconstruct import interface_point_values  # noqa: F401
 from .velocity import StaggeredVelocity, max_courant
@@ -115,7 +118,7 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     w = omega.values.reshape(grid.shape)
     planes = _empty((2, *grid.shape))
     neg_x, neg_y = vel._face_negative
-    upwind = scheme is _UPWIND
+    upwind = scheme.stencil_width == 1
     u = w if upwind else np.divide(w, grid.h,
                                    out=scratch(work, "tmp", grid.shape))
 
@@ -127,8 +130,7 @@ def _contract_2form(omega: Cochain, vel: StaggeredVelocity, dt: float,
             ex *= np.multiply(-c, vel.flux_y, out=coef)
             ey *= np.multiply(c, vel.flux_x, out=coef)
         else:
-            _integrate(ex, vel.flux_y, dt, grid.h)
-            ex *= -1.0
+            _integrate(ex, vel.flux_y, -dt, grid.h)
             _integrate(ey, vel.flux_x, dt, grid.h)
         return Cochain._of(grid, 1, planes.ravel())
 
@@ -149,7 +151,7 @@ def _contract_1form(omega: Cochain, vel: StaggeredVelocity, dt: float,
     planes = omega.values.reshape(2, *grid.shape)
     sum_x, sum_y = vel._node_sums
     neg_x, neg_y = vel._sum_negative
-    upwind = scheme is _UPWIND
+    upwind = scheme.stencil_width == 1
     if upwind:
         # The two node terms, read into the "form" and "tmp" planes.
         u = planes

@@ -314,12 +314,17 @@ def discretize(form: AnalyticForm | RectangleForm, grid: GridComplex2D) -> Cocha
 
 
 def norm(omega: Cochain, p: int) -> float:
-    """Discrete L1 (entry weight h) or unweighted L2 norm of a cochain."""
+    """Discrete L1 (entry weight h) or unweighted L2 norm of a cochain.
+
+    p is a count (grid._is_count): 1 or 2, so True or 1.0 is no order.
+    """
+    if not (type(p) is int or _is_count(p)):
+        raise ValueError(f"p must be 1 or 2, got {p!r}")
     if p == 1:
         return float(omega.grid.h * np.sum(np.abs(omega.values)))
     if p == 2:
         return float(np.sqrt(np.sum(omega.values ** 2)))
-    raise ValueError(f"p must be 1 or 2, got {p}")
+    raise ValueError(f"p must be 1 or 2, got {p!r}")
 
 
 def axpy(a: float, x: Cochain, y: Cochain) -> Cochain:

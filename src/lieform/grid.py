@@ -116,10 +116,17 @@ class GridComplex2D:
         return base
 
     def unflatten(self, dim: int, index: int) -> "CellRef":
-        """Inverse of flatten for the given dimension."""
+        """Inverse of flatten for the given dimension.
+
+        dim and index follow the count rule (_is_count), so a bool or a
+        float is neither.
+        """
+        if not (type(dim) is int or _is_count(dim)) or dim not in (0, 1, 2):
+            raise ValueError(f"dimension must be 0, 1 or 2, got {dim!r}")
         count = self.cell_count(dim)
-        if not 0 <= index < count:
-            raise ValueError(f"flat index {index} out of range for dimension {dim}")
+        if not ((type(index) is int or _is_count(index)) and 0 <= index < count):
+            raise ValueError(
+                f"flat index {index!r} out of range for dimension {dim}")
         axis = None
         if dim == 1:
             axis = EDGE_AXES[index // self.size]
@@ -129,7 +136,11 @@ class GridComplex2D:
 
 @dataclass(frozen=True)
 class CellRef:
-    """Reference to one entity: dimension, (i, j) label, and edge axis."""
+    """Reference to one entity: dimension, (i, j) label, and edge axis.
+
+    dim, i and j follow the count rule (_is_count), i and j with no
+    bound, and are kept as Python ints; a bool or a float is none.
+    """
 
     dim: int
     i: int
@@ -137,8 +148,17 @@ class CellRef:
     axis: str | None = None  # "x" or "y"; meaningful only for dim == 1
 
     def __post_init__(self) -> None:
+        # The count rule (_is_count); a plain int passes by its type
+        # alone, as a boundary walk makes many references.
+        if not (type(self.dim) is int and type(self.i) is int
+                and type(self.j) is int):
+            for name in ("dim", "i", "j"):
+                n = getattr(self, name)
+                if not _is_count(n, -np.inf):
+                    raise ValueError(f"{name} must be an integer, got {n!r}")
+                object.__setattr__(self, name, int(n))
         if self.dim not in (0, 1, 2):
-            raise ValueError(f"dimension must be 0, 1 or 2, got {self.dim}")
+            raise ValueError(f"dimension must be 0, 1 or 2, got {self.dim!r}")
         if self.dim == 1:
             if self.axis not in EDGE_AXES:
                 raise ValueError(f"edges need axis 'x' or 'y', got {self.axis!r}")

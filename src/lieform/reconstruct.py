@@ -13,14 +13,19 @@ scenarios.split_fv_step and the public interface_point_values call it.
 It checks nothing: the public entries (interface_point_values,
 reconstruct_at_interface, contraction.contract and advection.advect)
 resolve the scheme and check the extent, and _reconstruct and the WENO
-kernel below it only compute. Piecewise-constant upwinding is its
-width-1 case: the window is the upwind entry alone, so the read is a
-periodic shift of the plane (grid._roll_into, flat block copies into
-the caller's output), then, where the flow sign is negative, a copy of
-the plane itself over it (np.copyto with the sign mask). A direction
-with no negative sign is one shift. The output must be C-contiguous
-and must not overlap the plane, since a later block copy would read
-entries an earlier one has already overwritten. A WENO pass
+kernel below it only compute. Each scheme is one record, its
+SchemeKind member: its stencil_width and, for WENO, its kernel (the
+parts function, the optimal weights and the slot count). Every reader
+takes the member's fields, and every upwind decision, here, in
+contraction and in scenarios, is the one test stencil_width == 1.
+Piecewise-constant upwinding is the width-1 case: the window is the
+upwind entry alone, so the read is a periodic shift of the plane
+(grid._roll_into, flat block copies into the caller's output), then,
+where the flow sign is negative, a copy of the plane itself over it
+(np.copyto with the sign mask). A direction with no negative sign is
+one shift. The output must be C-contiguous and must not overlap the
+plane, since a later block copy would read entries an earlier one has
+already overwritten. A WENO pass
 reconstructs every interface of a plane in one kernel pass: the
 width + 1 wrapped shifts of the plane hold both upwind windows, and
 each interface picks its window from them by its own flow sign, in the
@@ -57,7 +62,8 @@ a workspace, a dict that forms.scratch hands buffers out of, one per
 (role, shape). A step makes one such call, with the jobs of both its
 contractions. A WENO pass uses three roles:
   - "weno": the kernel temporaries of one pass, one block of slots of
-    the pass's shape (7 for WENO5, 9 for WENO7), fetched once per pass;
+    the pass's shape (the member's slot count: 7 for WENO5, 9 for
+    WENO7), fetched once per pass;
   - "window": the windows of a mixed pass, one (width, jobs, ny, nx)
     block;
   - "pad": the wrapped copy of a job's plane, written by one
@@ -109,54 +115,30 @@ class CourantError(RuntimeError):
     """The time step sweeps more than one cell per interface."""
 
 
-class SchemeKind(enum.Enum):
-    UPWIND = "upwind"
-    WENO5 = "weno5"
-    WENO7 = "weno7"
-
-    @classmethod
-    def from_name(cls, name) -> "SchemeKind":
-        """A member as it is, a scheme's name as its member.
-
-        Anything else raises ValueError naming the options. A member
-        passes an isinstance test, not an Enum lookup, which costs more.
-        """
-        if isinstance(name, cls):
-            return name
-        try:
-            return cls(name)
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown scheme {name!r} (options: {options})") from None
-
-    @property
-    def stencil_width(self) -> int:
-        return _STENCIL_WIDTH[self._value_]
-
-
-# Keyed by value: a str hashes in C, an enum member through Python code.
-_STENCIL_WIDTH = {"upwind": 1, "weno5": 5, "weno7": 7}
-# Tested by identity: an Enum's class attribute is read through Python
-# code, a module global is not.
-_UPWIND = SchemeKind.UPWIND
-
-
 @dataclass(frozen=True)
 class Stencil1D:
     """Cell-average window for one interface, upwind side first.
 
     sign records which orientation the window was read in, by the sign
     rule of _negative: -1 for a flux below 0.0 (the mirrored window),
-    +1 for any other flux, a zero of either sign included.
+    +1 for any other flux, a zero of either sign included. It follows
+    the count rule: a numpy integer is kept as an int, and a bool or a
+    float is no sign. The window is as wide as some scheme's stencil.
     """
 
     values: tuple[float, ...]
     sign: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if len(self.values) not in _STENCIL_WIDTH.values():
+        # The count rule (grid._is_count), kept as a Python int; a plain
+        # int passes by its type alone.
+        sign = self.sign
+        if type(sign) is not int and _is_count(sign, -1):
+            sign = int(sign)
+            object.__setattr__(self, "sign", sign)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if len(self.values) not in _WIDTHS:
             raise ValueError(f"unsupported window width {len(self.values)}")
 
 
@@ -174,7 +156,7 @@ def _ops(x) -> tuple:
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
-# Slots of None, enough for a pass of either WENO scheme (see _WENO).
+# Slots of None, enough for a pass of either WENO scheme (see SchemeKind).
 _FRESH = (None,) * 9
 
 # Mixed-sign jobs share a kernel pass up to this many interfaces. A
@@ -295,12 +277,48 @@ def _weno7_parts(v0, v1, v2, v3, v4, v5, v6, slots=_FRESH):
     return tuple(betas), (p0, p1, p2, p3)
 
 
-# Each WENO scheme, keyed by its value: its parts function, its optimal
-# weights, and how many buffers a pass takes from its slots (one per
-# smoothness indicator and per candidate, and the product slot, last).
-# WENO7's indicators run a second chain in the first candidate's slot,
-# which is free until the candidates start.
-_WENO = {"weno5": (_weno5_parts, _D5, 7), "weno7": (_weno7_parts, _D7, 9)}
+class SchemeKind(enum.Enum):
+    """A scheme, and the one record of what it is.
+
+    Each member carries its stencil_width and, for WENO, its kernel: the
+    parts function, the optimal weights and how many buffers a pass takes
+    from its slots (one per smoothness indicator and per candidate, and
+    the product slot, last; WENO7's indicators run a second chain in the
+    first candidate's slot, which is free until the candidates start).
+    Upwind is the width-1 scheme, and every upwind decision is the test
+    stencil_width == 1. The value is the scheme's name.
+    """
+
+    UPWIND = "upwind", 1
+    WENO5 = "weno5", 5, _weno5_parts, _D5, 7
+    WENO7 = "weno7", 7, _weno7_parts, _D7, 9
+
+    def __new__(cls, name: str, width: int, parts=None, weights=None,
+                slot_count: int = 0):
+        member = object.__new__(cls)
+        member._value_, member.stencil_width = name, width
+        member._parts, member._weights, member._slot_count = parts, weights, slot_count
+        return member
+
+    @classmethod
+    def from_name(cls, name) -> "SchemeKind":
+        """A member as it is, a scheme's name as its member.
+
+        Anything else raises ValueError naming the options. A member
+        passes an isinstance test, not an Enum lookup, which costs more.
+        """
+        if isinstance(name, cls):
+            return name
+        try:
+            return cls(name)
+        except ValueError:
+            options = ", ".join(k.value for k in cls)
+            raise ValueError(f"unknown scheme {name!r} (options: {options})") from None
+
+
+# The window widths of Stencil1D, read from the members once: iterating
+# the enum for each window would cost about 2 us.
+_WIDTHS = frozenset(k.stencil_width for k in SchemeKind)
 
 
 def _left_biased(scheme: SchemeKind, window, slots=_FRESH):
@@ -310,13 +328,12 @@ def _left_biased(scheme: SchemeKind, window, slots=_FRESH):
     and the result is the first term's slot, slots[0]: the one place a
     pass's result lives until its caller copies it out.
     """
-    parts, dopt, _ = _WENO[scheme._value_]
-    betas, cands = parts(*window, slots)
+    betas, cands = scheme._parts(*window, slots)
     _, add, _, div, _ = _ops(betas[0])
     # SMOOTH_EPS + b is computed as b += SMOOTH_EPS, and each alpha goes
     # into its indicator's slot.
     alphas = []
-    for k, (d, b) in enumerate(zip(dopt, betas)):
+    for k, (d, b) in enumerate(zip(scheme._weights, betas)):
         b += SMOOTH_EPS
         b *= b
         alphas.append(div(d, b, slots[k]))
@@ -356,7 +373,7 @@ def reconstruct_at_interface(stencil: Stencil1D, scheme: SchemeKind) -> float:
     """
     scheme = SchemeKind.from_name(scheme)
     _require_width(len(stencil.values), scheme)
-    if scheme is _UPWIND:
+    if scheme.stencil_width == 1:
         return float(stencil.values[0])
     return float(_left_biased(scheme, stencil.values))
 
@@ -398,8 +415,9 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     index of its downwind-side cell when flow points up the axis). signs
     gives the flow direction per interface; zeros (either sign of zero)
     fall back to the positive-direction value, which callers null out
-    with the zero flux. u must be a 2-D plane of numbers, read as
-    float64, and signs must be finite and have its shape.
+    with the zero flux. u must be a 2-D plane of real numbers (integers
+    or floats), read as float64, and signs real, finite and of its
+    shape; a bool, complex, str or object array is neither.
 
     This is one job of _reconstruct with no workspace: every temporary
     and the result are fresh arrays, and the result is a C-ordered
@@ -410,11 +428,11 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     scheme = SchemeKind.from_name(scheme)
     if not _is_count(axis, 0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    u = np.asarray(u, dtype=np.float64)
+    u = np.asarray(_real("plane", u), dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"plane must be 2-D, got shape {u.shape}")
     _require_extent(u.shape[axis], scheme)
-    signs = np.asarray(signs)
+    signs = _real("signs", signs)
     if signs.shape != u.shape:
         raise ValueError(f"signs shape {signs.shape} != plane shape {u.shape}")
     if not np.isfinite(signs).all():
@@ -422,6 +440,18 @@ def interface_point_values(u: np.ndarray, axis: int, signs: np.ndarray,
     out = _empty(u.shape)
     _reconstruct([(u, axis, _negative(signs), out)], scheme, None)
     return out
+
+
+def _real(what: str, x) -> np.ndarray:
+    """x as an array of integers or floats.
+
+    A bool, complex, str or object array raises ValueError naming its
+    dtype, before any cast could drop a part of it or read None as NaN.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold real numbers, got dtype {x.dtype}")
+    return x
 
 
 def _negative(signs: np.ndarray) -> np.ndarray | None:
@@ -475,7 +505,7 @@ def _reconstruct(jobs, scheme: SchemeKind, work: dict | None) -> None:
     before its result is written. Upwind jobs run in order, so an
     upwind out may be the plane of an earlier job.
     """
-    if scheme is _UPWIND:
+    if scheme.stencil_width == 1:
         # The window is the upwind entry alone.
         for u, axis, neg, out in jobs:
             read = _roll_into(u, u.shape[axis] - 1, axis, out)
@@ -553,4 +583,4 @@ def _slots(work: dict | None, scheme: SchemeKind, shape: tuple) -> tuple:
     """A pass's kernel temporaries: workspace planes, or None for fresh."""
     if work is None:
         return _FRESH
-    return tuple(scratch(work, "weno", (_WENO[scheme._value_][2],) + shape))
+    return tuple(scratch(work, "weno", (scheme._slot_count,) + shape))

@@ -208,7 +208,7 @@ def _resolve_steps(scenario: Scenario, scheme: SchemeKind,
         peak = vel._peak_flux
         if peak == 0.0:
             return scenario.duration, 1
-        target = COURANT_PC if scheme is SchemeKind.UPWIND else COURANT_WENO
+        target = COURANT_PC if scheme.stencil_width == 1 else COURANT_WENO
         raw = target * h ** 2 / peak
     try:
         steps = max(1, round(scenario.duration / raw))
@@ -255,7 +255,7 @@ def split_fv_step(rho: Cochain, vel: StaggeredVelocity, dt: float,
     grid = rho.grid
     w = rho.plane()
     h = grid.h
-    if scheme is SchemeKind.UPWIND:
+    if scheme.stencil_width == 1:
         south = (-(dt / h ** 2)) * vel.flux_y * np.where(
             vel.flux_y >= 0.0, np.roll(w, 1, axis=0), w)
         west = (dt / h ** 2) * vel.flux_x * np.where(

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import _empty
-from .grid import GridComplex2D, shifted
+from .grid import CellRef, GridComplex2D, shifted
 from .reconstruct import _negative
 
 
@@ -49,12 +49,16 @@ class StaggeredVelocity:
     flux_y: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("flux_x", "flux_y"):
+        # flux_x[j, i] crosses y-edge (i, j), flux_y[j, i] x-edge (i, j).
+        for name, axis in (("flux_x", "y"), ("flux_y", "x")):
             given = np.asarray(getattr(self, name), dtype=np.float64)
             if given.shape != self.grid.shape:
                 raise ValueError(f"{name} shape {given.shape} != {self.grid.shape}")
             if not np.isfinite(given).all():
-                raise ValueError(f"{name} contains non-finite entries")
+                j, i = np.argwhere(~np.isfinite(given))[0].tolist()
+                raise ValueError(
+                    f"{name} contains non-finite entries, first "
+                    f"{float(given[j, i])!r} at {CellRef(1, i, j, axis)}")
             plane = _empty(given.shape)
             plane[...] = given
             object.__setattr__(self, name, _read_only(plane))

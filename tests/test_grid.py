@@ -15,10 +15,11 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from lieform.derivative import exterior_derivative
-from lieform.forms import Cochain
+from lieform.forms import Cochain, norm
 from lieform.grid import (CellRef, GridComplex2D, _roll_into, boundary_chain,
                           build_complex, shifted)
 from lieform.output import read_field, write_field
+from lieform.reconstruct import Stencil1D
 from reference import boundary_operator
 
 
@@ -125,6 +126,42 @@ def test_cellref_validation():
         CellRef(0, 0, 0, "x")       # vertices carry none
     with pytest.raises(ValueError):
         CellRef(3, 0, 0)
+
+
+_G54 = build_complex(5, 4, 1.0)
+_ONES = Cochain.from_plane(_G54, 0, np.ones(_G54.shape))
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: Stencil1D((1.0,) * 5, True), "True"),
+    (lambda: Stencil1D((1.0,) * 5, 1.0), "1.0"),
+    (lambda: Stencil1D((1.0,) * 5, -1.0), "-1.0"),
+    (lambda: norm(_ONES, True), "True"),
+    (lambda: norm(_ONES, 1.0), "1.0"),
+    (lambda: CellRef(True, 1, 2, "x"), "True"),
+    (lambda: CellRef(0, 1.5, 0), "1.5"),
+    (lambda: CellRef(0, 1, np.float64(2.0)), "2.0"),
+    (lambda: _G54.unflatten(True, 3), "True"),
+    (lambda: _G54.unflatten(0, 3.0), "3.0"),
+], ids=["stencil-sign-bool", "stencil-sign-float", "stencil-sign-minus-float",
+        "norm-bool", "norm-float", "cellref-dim-bool", "cellref-i-float",
+        "cellref-j-numpy-float", "unflatten-dim-bool", "unflatten-index-float"])
+def test_count_rule_on_integer_inputs(call, bad):
+    # A bool or a float is no count: each raises a ValueError naming it.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert bad in str(err.value)
+
+
+def test_count_rule_keeps_numpy_integers_as_int():
+    one = np.int64(1)
+    assert type(Stencil1D((1.0,), -one).sign) is int
+    assert norm(_ONES, np.int64(2)) == norm(_ONES, 2)
+    ref = CellRef(one, np.int32(6), np.int64(-1), "y")
+    assert ref == CellRef(1, 6, -1, "y")
+    assert all(type(n) is int for n in (ref.dim, ref.i, ref.j))
+    assert _G54.flatten(ref) == _G54.flatten(CellRef(1, 1, 3, "y"))
+    assert _G54.unflatten(np.int64(2), np.int64(7)) == CellRef(2, 2, 1)
 
 
 def test_shifted_semantics():

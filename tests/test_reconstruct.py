@@ -8,6 +8,7 @@ and bit for bit against the written-form kernel kept there.
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from lieform.reconstruct import (CourantError, SchemeKind, Stencil1D,
-                                 _left_biased, _negative, _reconstruct,
+from lieform.reconstruct import (_FRESH, CourantError, SchemeKind,
+                                 Stencil1D, _left_biased, _negative, _reconstruct,
                                  _shifts, _weno5_parts, _weno7_parts,
                                  extrusion_integral,
                                  interface_point_values,
@@ -29,11 +30,18 @@ from reference import reconstruction_weights, smoothness_indicators
 def test_scheme_kind_lookup():
     assert SchemeKind.from_name("upwind") is SchemeKind.UPWIND
     assert SchemeKind.from_name("weno5") is SchemeKind.WENO5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown scheme 'weno9' (options: upwind, weno5, weno7)")):
         SchemeKind.from_name("weno9")
     assert SchemeKind.UPWIND.stencil_width == 1
     assert SchemeKind.WENO5.stencil_width == 5
     assert SchemeKind.WENO7.stencil_width == 7
+    # each member is its scheme's record, and the value is still its name
+    assert [k.value for k in SchemeKind] == ["upwind", "weno5", "weno7"]
+    assert [SchemeKind(k.value) for k in SchemeKind] == list(SchemeKind)
+    assert SchemeKind.WENO5._parts is _weno5_parts
+    assert SchemeKind.WENO7._parts is _weno7_parts
+    assert SchemeKind.UPWIND._parts is None
 
 
 def test_stencil_guards():
@@ -42,6 +50,25 @@ def test_stencil_guards():
     with pytest.raises(ValueError):
         Stencil1D((1.0,), 0)
     assert Stencil1D((1.0, 2.0, 3.0, 4.0, 5.0), -1).sign == -1
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.WENO5, SchemeKind.WENO7])
+def test_slot_count_is_what_the_kernel_uses(scheme):
+    """A pass on exactly its record's slots writes every one of them and
+    gives the bits of the fresh path.
+
+    One slot too few aliases the product slot with a candidate (WENO5 on
+    6 slots writes 5 * w3 over p2); one too many is never written.
+    """
+    assert len(_FRESH) >= max(k._slot_count for k in SchemeKind)
+    window = np.random.default_rng(29).uniform(
+        -1.0, 1.0, (scheme.stencil_width, 6, 5))
+    slots = tuple(np.full((6, 5), np.nan) for _ in range(scheme._slot_count))
+    got = _left_biased(scheme, window, slots)
+    assert got is slots[0]
+    for k, slot in enumerate(slots):
+        assert np.isfinite(slot).all(), f"slot {k} is never written"
+    _assert_same_bits(got, _left_biased(scheme, window))
 
 
 def test_upwind_takes_first_cell():
@@ -575,6 +602,21 @@ def test_interface_point_values_guards():
         for axis in (0, 1):
             with pytest.raises(ValueError, match="^plane must be 2-D"):
                 interface_point_values(bad, axis, np.ones(np.shape(bad)),
+                                       SchemeKind.WENO5)
+    # a plane and its signs hold real numbers: a bool, complex, str or
+    # object array raises the entry's ValueError, not numpy's TypeError,
+    # a ComplexWarning, or None read as NaN
+    real = {"plane": u, "signs": signs}
+    for what, bad in (("signs", signs.astype(str)), ("signs", signs.astype(object)),
+                      ("signs", signs + 0j), ("signs", signs > 0.0),
+                      ("plane", np.full(u.shape, None)), ("plane", u + 1j),
+                      ("plane", u > 0.0)):
+        args = {**real, what: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{what} must hold real numbers, got dtype {bad.dtype}")):
+                interface_point_values(args["plane"], 0, args["signs"],
                                        SchemeKind.WENO5)
     # a non-finite sign has no side: NaN would read as positive
     for bad in (np.nan, np.inf, -np.inf):

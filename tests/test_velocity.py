@@ -1,6 +1,7 @@
 """Staggered flux fields: construction, divergence, courant numbers."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ def test_staggered_validation():
     bad[3, 3] = np.nan
     with pytest.raises(ValueError):
         StaggeredVelocity(g, np.ones((8, 8)), bad)
+    # the first non-finite entry is named by the edge it crosses:
+    # flux_x[j, i] crosses y-edge (i, j), flux_y[j, i] x-edge (i, j)
+    bad = np.ones((8, 8))
+    bad[2, 5] = -np.inf
+    bad[6, 1] = np.nan
+    for fx, fy, want in (
+            (bad, np.ones((8, 8)),
+             "flux_x contains non-finite entries, first -inf at "
+             "CellRef(dim=1, i=5, j=2, axis='y')"),
+            (np.ones((8, 8)), bad,
+             "flux_y contains non-finite entries, first -inf at "
+             "CellRef(dim=1, i=5, j=2, axis='x')")):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            StaggeredVelocity(g, fx, fy)
 
 
 def test_stream_function_frozen_fluxes():
